@@ -24,12 +24,12 @@
 #include "core/TransformLibrary.h"
 #include "dialect/Dialects.h"
 #include "ir/Parser.h"
+#include "support/Telemetry.h"
 
 #include <cstdlib>
 #include <fstream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unistd.h>
 
 using namespace tdl;
@@ -156,264 +156,6 @@ foreachMatchScript(const std::vector<Category> &Categories) {
   }) {sym_name = "__transform_main"} : () -> ()
 }) : () -> ()
 )";
-}
-
-/// A foreach_match script whose matchers do NOT start with
-/// `match.operation_name`, so the name prefilter cannot short-circuit the
-/// dispatch: every candidate op enters the interpreter for every pair until
-/// one claims it. This is the worst-case walk the sharded match phase is
-/// built for (deep structural matchers over a large many-function module).
-static std::string
-deepForeachMatchScript(const std::vector<Category> &Categories) {
-  std::string Sequences;
-  std::string Matchers, Actions;
-  for (const Category &C : Categories) {
-    const std::string &Tag = C.Tag;
-    Sequences += R"(
-  "transform.named_sequence"() ({
-  ^bb0(%op: !transform.any_op):
-    %0 = "transform.match.operands"(%op) {min = 0 : index}
-      : (!transform.any_op) -> (!transform.any_op)
-    %1 = "transform.match.operation_name"(%0) {op_names = [")" +
-                 std::string(C.OpName) + R"("]}
-      : (!transform.any_op) -> (!transform.any_op)
-    "transform.yield"() : () -> ()
-  }) {sym_name = "deep_is_)" +
-                 Tag + R"("} : () -> ()
-  "transform.named_sequence"() ({
-  ^bb0(%op: !transform.any_op):
-    "transform.annotate"(%op) {name = ")" +
-                 Tag + R"("} : (!transform.any_op) -> ()
-    "transform.yield"() : () -> ()
-  }) {sym_name = "deep_mark_)" +
-                 Tag + R"("} : () -> ()
-)";
-    if (!Matchers.empty()) {
-      Matchers += ", ";
-      Actions += ", ";
-    }
-    Matchers += "@deep_is_" + Tag;
-    Actions += "@deep_mark_" + Tag;
-  }
-  return R"("builtin.module"() ({)" + Sequences + R"(
-  "transform.named_sequence"() ({
-  ^bb0(%root: !transform.any_op):
-    %u = "transform.foreach_match"(%root) {matchers = [)" +
-         Matchers + R"(], actions = [)" + Actions + R"(]}
-      : (!transform.any_op) -> (!transform.any_op)
-    "transform.yield"() : () -> ()
-  }) {sym_name = "__transform_main"} : () -> ()
-}) : () -> ()
-)";
-}
-
-/// A match-only control for the commit sweep: the same matchers run through
-/// `transform.collect_matching`, which has no commit phase at all. The gap
-/// between this and a full foreach_match run is (roughly) the commit cost
-/// the commit shards attack.
-static std::string
-collectMatchingScript(const std::vector<Category> &Categories) {
-  std::string Sequences, Collects;
-  for (const Category &C : Categories) {
-    const std::string &Tag = C.Tag;
-    Sequences += R"(
-  "transform.named_sequence"() ({
-  ^bb0(%op: !transform.any_op):
-    %0 = "transform.match.operation_name"(%op) {op_names = [")" +
-                 std::string(C.OpName) + R"("]}
-      : (!transform.any_op) -> (!transform.any_op)
-    "transform.yield"() : () -> ()
-  }) {sym_name = "is_)" +
-                 Tag + R"("} : () -> ()
-)";
-    Collects += R"(    %)" + Tag +
-                R"( = "transform.collect_matching"(%root) {matcher = @is_)" +
-                Tag + R"(}
-      : (!transform.any_op) -> (!transform.any_op)
-)";
-  }
-  return R"("builtin.module"() ({)" + Sequences + R"(
-  "transform.named_sequence"() ({
-  ^bb0(%root: !transform.any_op):
-)" + Collects +
-         R"(    "transform.yield"() : () -> ()
-  }) {sym_name = "__transform_main"} : () -> ()
-}) : () -> ()
-)";
-}
-
-/// A foreach_match whose actions reach *outside* their own match via
-/// `transform.get_parent_op` — the conflict analysis cannot bound the
-/// escaping handle, so every partition falls back to the serial commit
-/// path. The forced-conflict control of the commit sweep.
-static std::string
-conflictForeachMatchScript(const std::vector<Category> &Categories) {
-  std::string Sequences;
-  std::string Matchers, Actions;
-  for (const Category &C : Categories) {
-    const std::string &Tag = C.Tag;
-    Sequences += R"(
-  "transform.named_sequence"() ({
-  ^bb0(%op: !transform.any_op):
-    %0 = "transform.match.operation_name"(%op) {op_names = [")" +
-                 std::string(C.OpName) + R"("]}
-      : (!transform.any_op) -> (!transform.any_op)
-    "transform.yield"() : () -> ()
-  }) {sym_name = "conflict_is_)" +
-                 Tag + R"("} : () -> ()
-  "transform.named_sequence"() ({
-  ^bb0(%op: !transform.any_op):
-    %parent = "transform.get_parent_op"(%op)
-      : (!transform.any_op) -> (!transform.any_op)
-    "transform.annotate"(%parent) {name = "parent_)" +
-                 Tag + R"("} : (!transform.any_op) -> ()
-    "transform.yield"() : () -> ()
-  }) {sym_name = "conflict_mark_)" +
-                 Tag + R"("} : () -> ()
-)";
-    if (!Matchers.empty()) {
-      Matchers += ", ";
-      Actions += ", ";
-    }
-    Matchers += "@conflict_is_" + Tag;
-    Actions += "@conflict_mark_" + Tag;
-  }
-  return R"("builtin.module"() ({)" + Sequences + R"(
-  "transform.named_sequence"() ({
-  ^bb0(%root: !transform.any_op):
-    %u = "transform.foreach_match"(%root) {matchers = [)" +
-         Matchers + R"(], actions = [)" + Actions + R"(]}
-      : (!transform.any_op) -> (!transform.any_op)
-    "transform.yield"() : () -> ()
-  }) {sym_name = "__transform_main"} : () -> ()
-}) : () -> ()
-)";
-}
-
-/// Shard sweep: the match side (deep-matcher foreach_match at 1/2/4(/...)
-/// match shards) followed by the commit side (annotate-action foreach_match
-/// at 1/2/4(/...) commit shards, on a conflict-free and on a
-/// forced-conflict payload/script pairing, against a match-only
-/// collect_matching control). Both phases merge worker results back into
-/// serial walk order, so the printed IR is byte-identical at every shard
-/// count; only the wall-clock and the conflict counters change.
-static void runShardSweep(int NumFuncs, const std::vector<unsigned> &Shards,
-                          int Repeats) {
-  Context Ctx;
-  registerAllDialects(Ctx);
-  registerTransformDialect(Ctx);
-  std::vector<Category> Categories = hotCategories();
-  std::string Payload = payloadText(NumFuncs);
-  OwningOpRef Script =
-      parseSourceString(Ctx, deepForeachMatchScript(Categories));
-  if (!Script) {
-    std::printf("script parse error\n");
-    return;
-  }
-
-  JsonReport Report("cs2_foreach_match");
-  Report.metric("funcs", NumFuncs);
-  Report.metric("hardware_threads",
-                static_cast<long long>(std::thread::hardware_concurrency()));
-
-  std::string Title = "Shard sweep: deep-matcher foreach_match dispatch, " +
-                      std::to_string(NumFuncs) + "-function payload";
-  printHeader(Title.c_str());
-  // Sharding buys wall-clock only when the hardware has cores to give;
-  // record what this machine offers so the artifact is interpretable.
-  std::printf("hardware threads available: %u\n",
-              std::thread::hardware_concurrency());
-  std::printf("%8s | %14s | %9s | %12s\n", "shards", "foreach (s)", "speedup",
-              "matcher runs");
-  double Baseline = 0.0;
-  for (unsigned NumShards : Shards) {
-    // Parse once per configuration, untimed: the sweep measures the match
-    // walk, not the parser. Re-running on the same module is deterministic
-    // (the actions only annotate).
-    OwningOpRef Mod = parseSourceString(Ctx, Payload);
-    TransformOptions Options;
-    Options.MatchShards = NumShards;
-    int64_t MatcherRuns = 0;
-    double Seconds = minSeconds(Repeats, [&] {
-      TransformInterpreter Interp(Mod.get(), Script.get(), Options);
-      if (failed(Interp.run()))
-        std::printf("foreach_match script failed\n");
-      MatcherRuns = Interp.NumMatcherInvocations;
-    });
-    if (Baseline == 0.0)
-      Baseline = Seconds;
-    std::printf("%8u | %14.6f | %8.2fx | %12lld\n", NumShards, Seconds,
-                Baseline / Seconds, static_cast<long long>(MatcherRuns));
-    Report.metric("match_shards_" + std::to_string(NumShards) + "_seconds",
-                  Seconds);
-  }
-
-  // --- Commit side. The annotate actions are cheap and idempotent, so the
-  // parsed module can be reused across timed runs here too. The prefiltered
-  // (non-deep) matchers keep the match phase small so the commit phase is a
-  // visible fraction of the total.
-  OwningOpRef FreeScript =
-      parseSourceString(Ctx, foreachMatchScript(Categories));
-  OwningOpRef ConflictScript =
-      parseSourceString(Ctx, conflictForeachMatchScript(Categories));
-  OwningOpRef CollectScript =
-      parseSourceString(Ctx, collectMatchingScript(Categories));
-  if (!FreeScript || !ConflictScript || !CollectScript) {
-    std::printf("commit-sweep script parse error\n");
-    return;
-  }
-
-  Title = "Commit sweep: annotate-action foreach_match commit, " +
-          std::to_string(NumFuncs) + "-function payload";
-  printHeader(Title.c_str());
-  {
-    OwningOpRef Mod = parseSourceString(Ctx, Payload);
-    double MatchOnly = minSeconds(Repeats, [&] {
-      TransformInterpreter Interp(Mod.get(), CollectScript.get());
-      if (failed(Interp.run()))
-        std::printf("collect_matching script failed\n");
-    });
-    std::printf("match-only control (collect_matching): %.6f s\n", MatchOnly);
-    Report.metric("match_only_seconds", MatchOnly);
-  }
-  std::printf("%-15s | %8s | %16s | %9s | %9s | %8s\n", "payload", "shards",
-              "match+commit (s)", "speedup", "parallel", "serial");
-  for (bool Conflict : {false, true}) {
-    Operation *Used = Conflict ? ConflictScript.get() : FreeScript.get();
-    const char *Label = Conflict ? "forced-conflict" : "conflict-free";
-    const char *Key = Conflict ? "commit_conflict" : "commit_free";
-    double CommitBaseline = 0.0;
-    for (unsigned NumShards : Shards) {
-      OwningOpRef Mod = parseSourceString(Ctx, Payload);
-      TransformOptions Options;
-      Options.CommitShards = NumShards;
-      int64_t Parallel = 0, Serial = 0;
-      double Seconds = minSeconds(Repeats, [&] {
-        TransformInterpreter Interp(Mod.get(), Used, Options);
-        if (failed(Interp.run()))
-          std::printf("commit-sweep script failed\n");
-        Parallel = Interp.NumParallelCommitPartitions;
-        Serial = Interp.NumSerialCommitPartitions;
-      });
-      if (CommitBaseline == 0.0)
-        CommitBaseline = Seconds;
-      std::printf("%-15s | %8u | %16.6f | %8.2fx | %9lld | %8lld\n", Label,
-                  NumShards, Seconds, CommitBaseline / Seconds,
-                  static_cast<long long>(Parallel),
-                  static_cast<long long>(Serial));
-      std::string Prefix =
-          std::string(Key) + "_shards_" + std::to_string(NumShards);
-      Report.metric(Prefix + "_seconds", Seconds);
-      Report.metric(Prefix + "_parallel_partitions",
-                    static_cast<long long>(Parallel));
-      Report.metric(Prefix + "_serial_partitions",
-                    static_cast<long long>(Serial));
-    }
-  }
-
-  // Process-wide registry totals across the whole sweep, alongside the
-  // per-configuration instance counters above.
-  Report.addMetricsSnapshot();
 }
 
 /// The hot-category matchers alone, packaged as a transform library the
@@ -620,38 +362,34 @@ static void runRow(int NumFuncs, int NumCold, int Repeats = 5) {
       std::printf("foreach_match script failed\n");
   });
 
-  // Counter run (not timed): how much transform-IR work each style does.
+  // Counter run (not timed): how much transform-IR work each style does,
+  // read as registry deltas around one interpretation.
+  telemetry::Counter &ExecutedOps = telemetry::counter("interp.executed_ops");
+  telemetry::Counter &MatcherRuns =
+      telemetry::counter("interp.matcher_invocations");
+  int64_t OpsBefore = ExecutedOps.get(), RunsBefore = MatcherRuns.get();
   OwningOpRef Mod = parseSourceString(Ctx, Payload);
-  TransformInterpreter Interp(Mod.get(), ForeachScript.get());
-  (void)Interp.run();
+  (void)applyTransforms(Mod.get(), ForeachScript.get());
 
   std::printf("%8d %6zu | %14.6f %14.6f | %8.2fx | %12lld %12lld\n",
               NumFuncs, Categories.size(), Sequential, Foreach,
               Sequential / Foreach,
-              static_cast<long long>(Interp.NumExecutedOps),
-              static_cast<long long>(Interp.NumMatcherInvocations));
+              static_cast<long long>(ExecutedOps.get() - OpsBefore),
+              static_cast<long long>(MatcherRuns.get() - RunsBefore));
 }
 
 int main(int argc, char **argv) {
   // --smoke: one tiny row of each shape. CI uses this to keep the bench
   // targets compiling and running without paying the full sweep.
-  // --shard-sweep: the sharded-walk variant alone (CI also runs this; its
-  // timings land in the bench artifact).
   // --library: matchers resolved from a preloaded transform library vs
   // re-parsed with every script (CI runs this too).
   bool Smoke = false;
-  bool ShardSweep = false;
   bool Library = false;
   for (int I = 1; I < argc; ++I) {
     Smoke |= std::string_view(argv[I]) == "--smoke";
-    ShardSweep |= std::string_view(argv[I]) == "--shard-sweep";
     Library |= std::string_view(argv[I]) == "--library";
   }
 
-  if (ShardSweep) {
-    runShardSweep(/*NumFuncs=*/200, /*Shards=*/{1, 2, 4}, /*Repeats=*/3);
-    return 0;
-  }
   if (Library) {
     runLibraryBench(/*NumFuncs=*/12, /*NumCold=*/35, /*Runs=*/50);
     return 0;

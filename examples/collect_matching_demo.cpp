@@ -10,12 +10,8 @@
 /// as handles — the same MatcherEngine that powers `foreach_match`, used as
 /// a query. The matcher here narrows to rank-2 loads and yields both the
 /// load and a parameter; the script then annotates all collected loads in
-/// one shot and asserts on the forwarded parameters.
-///
-/// Because the match phase is side-effect-free, the same script can run the
-/// walk sharded across worker threads (TransformOptions::MatchShards, or
-/// `tdl-opt --match-shards=N`) with byte-identical results; the demo runs
-/// both and prints the match counts.
+/// one shot and asserts on the forwarded parameters. The demo prints the
+/// match count and how many matcher invocations the walk took.
 ///
 /// Build & run:  cmake --build build && ./build/example_collect_matching_demo
 ///
@@ -25,6 +21,7 @@
 #include "dialect/Dialects.h"
 #include "ir/Parser.h"
 #include "support/Stream.h"
+#include "support/Telemetry.h"
 
 using namespace tdl;
 
@@ -100,23 +97,17 @@ int main() {
     return 1;
   }
 
-  // The walk is pure, so re-running at a different shard count finds the
-  // same matches; annotations are idempotent.
-  for (unsigned Shards : {1u, 4u}) {
-    TransformOptions Options;
-    Options.MatchShards = Shards;
-    TransformInterpreter Interp(Payload.get(), Script.get(), Options);
-    if (failed(Interp.run())) {
-      errs() << "transform script failed\n";
-      return 1;
-    }
-    int64_t Collected = 0;
-    Payload->walk(
-        [&](Operation *Op) { Collected += Op->hasAttr("prefetch"); });
-    outs() << "match-shards=" << Shards << ": collected " << Collected
-           << " rank-2 loads (" << Interp.NumMatcherInvocations
-           << " matcher invocations)\n";
+  telemetry::Counter &Invocations =
+      telemetry::counter("interp.matcher_invocations");
+  int64_t Before = Invocations.get();
+  if (failed(applyTransforms(Payload.get(), Script.get()))) {
+    errs() << "transform script failed\n";
+    return 1;
   }
+  int64_t Collected = 0;
+  Payload->walk([&](Operation *Op) { Collected += Op->hasAttr("prefetch"); });
+  outs() << "collected " << Collected << " rank-2 loads ("
+         << Invocations.get() - Before << " matcher invocations)\n";
 
   outs() << "\nAnnotated payload:\n";
   Payload->print(outs());

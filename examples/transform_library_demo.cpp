@@ -9,8 +9,8 @@
 /// library file exporting a public loop matcher (next to a private helper),
 /// and a script that imports the matcher and dispatches it through
 /// `transform.foreach_match`. The TransformLibraryManager parses, verifies,
-/// and type-checks the library exactly once; three interpretations (serial
-/// and sharded) all resolve into the one cached module. This is also the
+/// and type-checks the library exactly once; three interpretations all
+/// resolve into the one cached module. This is also the
 /// two-file pair CI runs under ASan, so the manager's ownership of the
 /// long-lived library modules is sanitizer-covered.
 ///
@@ -115,18 +115,16 @@ int main() {
   outs() << "Loaded libraries:\n";
   Manager.dumpSymbols(outs());
 
-  // Three interpretations, serial and sharded: all resolve @is_loop into
-  // the one cached library module.
-  for (unsigned Shards : {1u, 1u, 4u}) {
+  // Three interpretations: all resolve @is_loop into the one cached library
+  // module.
+  for (int Run = 1; Run <= 3; ++Run) {
     OwningOpRef Payload = parseSourceString(Ctx, PayloadText, "payload");
     if (!Payload) {
       errs() << "payload parse error\n";
       std::remove(LibPath.c_str());
       return 1;
     }
-    TransformOptions Options;
-    Options.MatchShards = Shards;
-    if (failed(applyTransforms(Payload.get(), Script.get(), Options))) {
+    if (failed(applyTransforms(Payload.get(), Script.get()))) {
       errs() << "transform script failed\n";
       std::remove(LibPath.c_str());
       return 1;
@@ -134,7 +132,7 @@ int main() {
     int64_t Marked = 0;
     Payload->walk(
         [&](Operation *Op) { Marked += Op->hasAttr("from_library"); });
-    outs() << "match-shards=" << Shards << ": marked " << Marked
+    outs() << "run " << Run << ": marked " << Marked
            << " loops via the imported matcher\n";
   }
   outs() << "library parses: " << Manager.getNumParses() << " ("

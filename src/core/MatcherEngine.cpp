@@ -10,9 +10,8 @@
 #include "ir/SymbolTable.h"
 #include "support/Telemetry.h"
 
-#include <algorithm>
-#include <atomic>
-#include <thread>
+#include <iterator>
+#include <set>
 
 using namespace tdl;
 
@@ -252,8 +251,8 @@ FailureOr<bool> MatcherEngine::evaluateApplicability(
   ApplicabilityQueries.add();
   std::vector<Match> Matches;
   DSF Result = Engine.match({PayloadRoot}, /*RestrictRoot=*/false, Matches);
-  // The query never commits, so run()'s end-of-interpretation flush is not
-  // reached; drain the merged matcher trace here.
+  // The query never runs run(), so its end-of-interpretation flush is not
+  // reached; drain the matcher trace here.
   Scratch.flushTraceLog();
   if (Result.isDefinite()) {
     ScriptRoot->emitError() << Result.getMessage();
@@ -268,12 +267,8 @@ FailureOr<bool> MatcherEngine::evaluateApplicability(
 
 DSF MatcherEngine::tryCandidate(TransformInterpreter &Scratch,
                                 ThreadDiagnosticCapture &Capture,
-                                Operation *Candidate,
-                                std::set<Operation *> &Visited,
-                                std::vector<Match> &Out,
-                                std::vector<Diagnostic> &ErrDiags) {
-  if (!Visited.insert(Candidate).second)
-    return DSF::success();
+                                Operation *Candidate, std::vector<Match> &Out,
+                                std::vector<Diagnostic> &Replay) {
   Context &Ctx = DriverOp->getContext();
   for (size_t P = 0; P < Pairs.size(); ++P) {
     const Pair &ThePair = Pairs[P];
@@ -296,12 +291,10 @@ DSF MatcherEngine::tryCandidate(TransformInterpreter &Scratch,
 
     Block &MatcherBody = ThePair.Matcher->getRegion(0).front();
     Scratch.getState().setPayload(MatcherBody.getArgument(0), {Candidate});
-    ++Scratch.NumMatcherInvocations;
     static telemetry::Counter &MatcherInvocations =
         telemetry::counter("interp.matcher_invocations");
     MatcherInvocations.add();
     DSF MatchResult = DSF::success();
-    std::vector<Diagnostic> MatcherDiags;
     {
       std::string SpanName;
       if (telemetry::spansActive())
@@ -312,26 +305,24 @@ DSF MatcherEngine::tryCandidate(TransformInterpreter &Scratch,
       TransformInterpreter::MatcherScope Scope(Scratch);
       // Matcher failures are the expected "not this op" signal, so their
       // diagnostics are silenced; diagnostics of a matcher that succeeds
-      // (or aborts) are replayed after the merge so
-      // transform.debug.emit_remark stays usable inside matchers. The
-      // worker's capture is per-thread (no race on the engine-wide
-      // handler) and reset per invocation.
+      // (or aborts) are kept for replay after the walk so
+      // transform.debug.emit_remark stays usable inside matchers.
       Capture.clear();
       MatchResult = Scratch.executeBlock(MatcherBody);
-      if (!MatchResult.isSilenceable())
-        MatcherDiags = Capture.takeDiagnostics();
+      if (!MatchResult.isSilenceable()) {
+        std::vector<Diagnostic> Diags = Capture.takeDiagnostics();
+        Replay.insert(Replay.end(), std::make_move_iterator(Diags.begin()),
+                      std::make_move_iterator(Diags.end()));
+      }
     }
-    if (MatchResult.isDefinite()) {
-      ErrDiags = std::move(MatcherDiags);
+    if (MatchResult.isDefinite())
       return MatchResult;
-    }
     if (MatchResult.isSilenceable())
       continue;
 
     Match M;
     M.PairIdx = P;
     M.Candidate = Candidate;
-    M.MatcherDiags = std::move(MatcherDiags);
     // The matcher's yield operands are forwarded to the commit phase; a
     // yield without operands forwards the candidate itself. Values are
     // recorded raw here (the phase is pure, nothing can invalidate them
@@ -362,170 +353,65 @@ DSF MatcherEngine::tryCandidate(TransformInterpreter &Scratch,
   return DSF::success();
 }
 
-namespace {
-
-/// One independently walkable slice of the payload, in serial walk order:
-/// a root op alone, or a whole top-level subtree of a root. Decomposing
-/// `walkPre(Root)` into [Root] + one unit per top-level child preserves the
-/// exact pre-order candidate sequence while giving the sharded walk units
-/// it can distribute (per `func.func` for the usual module payload).
-struct WalkUnit {
-  Operation *Root = nullptr;
-  bool Recurse = false;
-};
-
-/// The first definite matcher failure a worker hit, with its position so
-/// the merge can reconstruct the serial failure point.
-struct WorkerOutcome {
-  size_t ErrorUnit = static_cast<size_t>(-1);
-  DiagnosedSilenceableFailure Error = DiagnosedSilenceableFailure::success();
-  std::vector<Diagnostic> ErrorDiags;
-};
-
-} // namespace
-
 DSF MatcherEngine::match(const std::vector<Operation *> &Roots,
                          bool RestrictRoot, std::vector<Match> &Out) {
-  std::vector<WalkUnit> Units;
-  for (Operation *Root : Roots) {
-    Units.push_back({Root, false});
-    if (RestrictRoot)
-      continue;
-    for (unsigned R = 0; R < Root->getNumRegions(); ++R)
-      for (Block &B : Root->getRegion(R))
-        for (Operation *Child : B)
-          Units.push_back({Child, true});
-  }
-  if (Units.empty() || Pairs.empty())
+  if (Roots.empty() || Pairs.empty())
     return DSF::success();
-
-  unsigned NumShards = std::max(1u, Interp.getOptions().MatchShards);
-  NumShards = static_cast<unsigned>(
-      std::min<size_t>(NumShards, Units.size()));
 
   static telemetry::DurationStat &MatchStat =
       telemetry::duration("engine.match");
   telemetry::ScopedTimer MatchTimer(MatchStat);
   telemetry::ScopedSpan MatchSpan("engine:match", "engine");
-  MatchSpan.arg("units", static_cast<int64_t>(Units.size()));
-  MatchSpan.arg("shards", static_cast<int64_t>(NumShards));
-
-  // Per-unit match lists (and trace-line buffers) are written by exactly
-  // one worker each, so the sharded walk needs no locking; the merge below
-  // reassembles serial walk order deterministically from them.
-  std::vector<std::vector<Match>> PerUnit(Units.size());
-  std::vector<std::string> PerUnitTrace(Units.size());
-  std::vector<WorkerOutcome> Outcomes(NumShards);
-
-  Operation *PayloadRoot = Interp.getState().getPayloadRoot();
-  Operation *ScriptRoot = Interp.getScriptRoot();
-  TransformOptions ScratchOptions = Interp.getOptions();
-
-  auto RunWorker = [&](unsigned Shard, TransformInterpreter &Scratch) {
-    telemetry::ScopedSpan ShardSpan("match:walk-shard", "engine");
-    ShardSpan.arg("shard", static_cast<int64_t>(Shard));
-    // Visited spans all of this worker's units: an op reachable from two of
-    // them (nested or duplicate roots) is offered once, like the serial
-    // walk; cross-worker duplicates are dropped at merge time.
-    std::set<Operation *> Visited;
-    // One capture per worker, reset per matcher invocation: the worker only
-    // reports diagnostics from inside matcher bodies, so keeping the
-    // capture installed across the whole walk is safe and avoids a
-    // handler swap per invocation.
-    ThreadDiagnosticCapture Capture;
-    // No cross-worker abort on a definite error: every unit below the
-    // merge's eventual stop point must be complete so the failure path
-    // replays exactly the diagnostics the serial walk would have emitted
-    // before the error. A worker processes its units in increasing order,
-    // so everything it owns below its own error point is already done; the
-    // wasted work in other workers is bounded by one (rare, fatal) error.
-    for (size_t U = Shard; U < Units.size(); U += NumShards) {
-      auto Offer = [&](Operation *Candidate) -> WalkResult {
-        std::vector<Diagnostic> ErrDiags;
-        DSF Result = tryCandidate(Scratch, Capture, Candidate, Visited,
-                                  PerUnit[U], ErrDiags);
-        if (Result.isDefinite()) {
-          Outcomes[Shard] = {U, std::move(Result), std::move(ErrDiags)};
-          return WalkResult::Interrupt;
-        }
-        return WalkResult::Advance;
-      };
-      WalkResult UnitResult = Units[U].Recurse
-                                  ? Units[U].Root->walkPre(Offer)
-                                  : Offer(Units[U].Root);
-      // Drain after the walk outcome is known: an erroring unit's partial
-      // trace is exactly what the serial walk would have printed before the
-      // failure, and the merge replays it up to StopUnit.
-      PerUnitTrace[U] = Scratch.takeTraceLog();
-      if (UnitResult == WalkResult::Interrupt)
-        return;
-    }
-  };
-
-  if (NumShards <= 1) {
-    // Serial walk, still against a scratch state: the driver's state never
-    // sees matcher-body bindings in either mode.
-    TransformInterpreter Scratch(PayloadRoot, ScriptRoot, ScratchOptions);
-    RunWorker(0, Scratch);
-    Interp.NumMatcherInvocations += Scratch.NumMatcherInvocations;
-    Interp.NumExecutedOps += Scratch.NumExecutedOps;
-  } else {
-    // Warm the per-OpInfo TransformOpDef cache for every op a matcher can
-    // execute: the lazy fill in lookupTransformOpDef is a benign-value but
-    // racy write under concurrency, and warming it here keeps the workers
-    // read-only on shared structures.
-    for (Pair &P : Pairs)
-      P.Matcher->walk([](Operation *Nested) {
-        if (Nested->getDialectName() == "transform")
-          (void)lookupTransformOpDef(Nested);
-      });
-    std::vector<std::unique_ptr<TransformInterpreter>> Scratches;
-    for (unsigned S = 0; S < NumShards; ++S)
-      Scratches.push_back(std::make_unique<TransformInterpreter>(
-          PayloadRoot, ScriptRoot, ScratchOptions));
-    std::vector<std::thread> Workers;
-    Workers.reserve(NumShards);
-    for (unsigned S = 0; S < NumShards; ++S)
-      Workers.emplace_back([&, S] { RunWorker(S, *Scratches[S]); });
-    for (std::thread &Worker : Workers)
-      Worker.join();
-    for (std::unique_ptr<TransformInterpreter> &Scratch : Scratches) {
-      Interp.NumMatcherInvocations += Scratch->NumMatcherInvocations;
-      Interp.NumExecutedOps += Scratch->NumExecutedOps;
-    }
-  }
-
-  // Merge back into serial walk order. Ops reachable from more than one
-  // unit were offered once per owning worker; the earliest unit claims
-  // them, matching the serial visit-once rule (matchers are pure, so every
-  // worker saw the same outcome). Successful matchers' diagnostics are
-  // replayed here, in merged order.
-  size_t StopUnit = Units.size();
-  const WorkerOutcome *FirstError = nullptr;
-  for (const WorkerOutcome &Outcome : Outcomes)
-    if (Outcome.ErrorUnit < StopUnit) {
-      StopUnit = Outcome.ErrorUnit;
-      FirstError = &Outcome;
-    }
-  DiagnosticEngine &DiagEngine = DriverOp->getContext().getDiagEngine();
-  std::set<Operation *> Claimed;
-  for (size_t U = 0; U < Units.size() && U <= StopUnit; ++U) {
-    Interp.appendTraceLog(PerUnitTrace[U]);
-    for (Match &M : PerUnit[U]) {
-      if (!Claimed.insert(M.Candidate).second)
+  if (MatchSpan.isActive()) {
+    // Walk units: each root, plus each of its top-level children when the
+    // walk recurses. The span shape predates the single walk and is kept
+    // so existing traces stay comparable.
+    int64_t NumUnits = 0;
+    for (Operation *Root : Roots) {
+      ++NumUnits;
+      if (RestrictRoot)
         continue;
-      for (const Diagnostic &Diag : M.MatcherDiags)
-        DiagEngine.report(Diag);
-      M.MatcherDiags.clear();
-      Out.push_back(std::move(M));
+      for (unsigned R = 0; R < Root->getNumRegions(); ++R)
+        for (Block &B : Root->getRegion(R))
+          NumUnits += static_cast<int64_t>(B.size());
     }
+    MatchSpan.arg("units", NumUnits);
+    MatchSpan.arg("shards", int64_t(1));
   }
-  if (FirstError) {
-    for (const Diagnostic &Diag : FirstError->ErrorDiags)
-      DiagEngine.report(Diag);
-    return FirstError->Error;
+
+  // Diagnostics of successful (or aborting) matchers, in walk order. They
+  // are reported once the walk is over: while it runs, the capture below
+  // intercepts everything the matchers emit.
+  std::vector<Diagnostic> Replay;
+  DSF Result = DSF::success();
+  {
+    telemetry::ScopedSpan WalkSpan("match:walk-shard", "engine");
+    WalkSpan.arg("shard", int64_t(0));
+    // Matchers bind into a scratch state, never into the driver's: the
+    // phase is pure, and a completed walk leaves no bindings behind.
+    TransformInterpreter Scratch(Interp.getState().getPayloadRoot(),
+                                 Interp.getScriptRoot(), Interp.getOptions());
+    // One capture for the whole walk, reset per matcher invocation.
+    ThreadDiagnosticCapture Capture;
+    // An op reachable from two roots (nested or duplicate) is offered once.
+    std::set<Operation *> Visited;
+    auto Offer = [&](Operation *Candidate) -> WalkResult {
+      if (!Visited.insert(Candidate).second)
+        return WalkResult::Advance;
+      Result = tryCandidate(Scratch, Capture, Candidate, Out, Replay);
+      return Result.isDefinite() ? WalkResult::Interrupt : WalkResult::Advance;
+    };
+    for (Operation *Root : Roots) {
+      WalkResult Walked = RestrictRoot ? Offer(Root) : Root->walkPre(Offer);
+      if (Walked == WalkResult::Interrupt)
+        break;
+    }
+    Interp.appendTraceLog(Scratch.takeTraceLog());
   }
-  return DSF::success();
+  DiagnosticEngine &DiagEngine = DriverOp->getContext().getDiagEngine();
+  for (const Diagnostic &Diag : Replay)
+    DiagEngine.report(Diag);
+  return Result;
 }
 
 //===----------------------------------------------------------------------===//
@@ -563,147 +449,8 @@ static bool isStaleMatch(const TransformState &State,
   return false;
 }
 
-/// The conflict-partition key of a commit candidate: its ancestor that is a
-/// direct child of the payload root — the same per-root-child unit the
-/// sharded match walk distributes. Returns the root itself when the
-/// candidate *is* the root or is not nested beneath it; the root key always
-/// forces the serial path.
-static Operation *commitPartitionKey(Operation *Candidate,
-                                     Operation *PayloadRoot) {
-  Operation *Cur = Candidate;
-  while (Cur != PayloadRoot) {
-    Operation *Parent = Cur->getParentOp();
-    if (!Parent)
-      return PayloadRoot;
-    if (Parent == PayloadRoot)
-      return Cur;
-    Cur = Parent;
-  }
-  return PayloadRoot;
-}
-
-/// The transform ops whose execution can touch payload outside any single
-/// candidate subtree no matter what they are applied to: payload
-/// substitution against an external library, engine re-entry (nested
-/// matcher walks), process-global output, and region semantics the
-/// analysis does not model. Pass-running ops (apply_registered_pass,
-/// expand_forall, lower_scf_to_cf, and the auto-generated per-contract
-/// lowering ops) are excluded through TransformOpDef::RunsRegisteredPass
-/// instead of by name, so contracts registered after startup are covered
-/// without pinning local structured transforms that merely *have* a
-/// phase-ordering contract (loop.unroll, loop.tile, vectorize, ...).
-static std::set<std::string> serialOnlyTransformOps() {
-  return {
-      "transform.to_library",
-      "transform.print",
-      "transform.alternatives",
-      "transform.include",
-      "transform.foreach_match",
-      "transform.collect_matching",
-  };
-}
-
-/// The locality dataflow behind the commit-phase conflict analysis. A value
-/// is *bounded* when every payload op it can name is nested in the payload
-/// the action was handed (and therefore inside the partition's subtree).
-/// Entry block arguments are bounded by construction; parameters are always
-/// bounded. The analysis requires every handle an op reads to be bounded —
-/// even a pure read races with a concurrent writer in another partition —
-/// and propagates boundedness through results using the same
-/// ResultNestedInOperand metadata the static invalidation analysis trusts.
-/// Returns "" when the block is local, else the reason it is not.
-static std::string analyzeBlockLocality(Block &Body,
-                                        std::set<const ValueImpl *> &Bounded,
-                                        const std::set<std::string> &SerialOps) {
-  for (Operation *BodyOp : Body) {
-    std::string_view Name = BodyOp->getName();
-    if (Name == "transform.yield")
-      continue;
-    if (SerialOps.count(std::string(Name)))
-      return "op '" + std::string(Name) +
-             "' can touch payload outside the partition";
-    if (Name == "transform.apply_patterns" && BodyOp->getAttr("matchers"))
-      return "match-driven 'transform.apply_patterns' re-enters the engine";
-    const TransformOpDef *Def = lookupTransformOpDef(BodyOp);
-    if (!Def)
-      return "unregistered transform op '" + std::string(Name) +
-             "' in the action body";
-    if (Def->RunsRegisteredPass)
-      return "op '" + std::string(Name) +
-             "' runs a registered pass over shared pass infrastructure";
-    for (unsigned I = 0; I < BodyOp->getNumOperands(); ++I) {
-      Value Operand = BodyOp->getOperand(I);
-      if (Operand.getType().isa<TransformParamType>())
-        continue;
-      if (!Bounded.count(Operand.getImpl()))
-        return "op '" + std::string(Name) +
-               "' uses a handle that may reach payload outside the partition";
-    }
-    bool Consuming = !Def->ConsumedOperands.empty();
-    for (unsigned R = 0; R < BodyOp->getNumResults(); ++R) {
-      Value Result = BodyOp->getResult(R);
-      if (Result.getType().isa<TransformParamType>()) {
-        Bounded.insert(Result.getImpl());
-        continue;
-      }
-      int NestedIn = Def->AllResultsNestedInOperand >= 0
-                         ? Def->AllResultsNestedInOperand
-                         : (R < Def->ResultNestedInOperand.size()
-                                ? Def->ResultNestedInOperand[R]
-                                : -1);
-      // Nested results stay inside a bounded operand's payload. Consuming
-      // ops' "fresh" results replace their operand's payload in place (tile,
-      // split, unroll, interchange, vectorize), so they stay inside the
-      // partition too. merge_handles/split_handle only regroup bounded
-      // payload. Everything else fresh — get_parent_op — may escape the
-      // partition: leave it unbounded so any downstream *use* forces serial.
-      if (NestedIn >= 0 || Consuming || Name == "transform.merge_handles" ||
-          Name == "transform.split_handle")
-        Bounded.insert(Result.getImpl());
-    }
-    if (Def->TypeCheckSpecial == TransformTypeCheckSpecial::BodyBinding) {
-      // sequence / foreach: the body's entry arguments bind operand 0's
-      // payload, which the operand check above already proved bounded.
-      if (BodyOp->getNumRegions() >= 1 && !BodyOp->getRegion(0).empty()) {
-        Block &Nested = BodyOp->getRegion(0).front();
-        for (unsigned A = 0; A < Nested.getNumArguments(); ++A)
-          Bounded.insert(Nested.getArgument(A).getImpl());
-        std::string Reason = analyzeBlockLocality(Nested, Bounded, SerialOps);
-        if (!Reason.empty())
-          return Reason;
-      }
-    } else if (BodyOp->getNumRegions() > 0 &&
-               Def->TypeCheckSpecial !=
-                   TransformTypeCheckSpecial::ApplyPatterns) {
-      // Pattern regions of a flat apply_patterns hold pattern-name ops, not
-      // transform ops; any other region-carrying op is unknown territory.
-      return "op '" + std::string(Name) +
-             "' carries a region with unknown binding semantics";
-    }
-  }
-  return {};
-}
-
-const std::string &MatcherEngine::actionSerialReason(size_t PairIdx) {
-  Pair &P = Pairs[PairIdx];
-  if (P.SerialReasonAnalyzed)
-    return P.SerialReason;
-  P.SerialReasonAnalyzed = true;
-  // Match-only clients (apply_patterns per match) have no action sequence;
-  // their rewrites are anchored at the candidate by construction.
-  if (P.Action && !P.Action->getRegion(0).empty()) {
-    Block &ActionBody = P.Action->getRegion(0).front();
-    std::set<const ValueImpl *> Bounded;
-    for (unsigned A = 0; A < ActionBody.getNumArguments(); ++A)
-      Bounded.insert(ActionBody.getArgument(A).getImpl());
-    P.SerialReason =
-        analyzeBlockLocality(ActionBody, Bounded, serialOnlyTransformOps());
-  }
-  return P.SerialReason;
-}
-
-DSF MatcherEngine::commit(std::vector<Match> &Matches, const CommitAction &Act,
-                          bool ClientRequiresSerial) {
+DSF MatcherEngine::commit(std::vector<Match> &Matches,
+                          const CommitAction &Act) {
   TransformState &State = Interp.getState();
   static telemetry::DurationStat &CommitStat =
       telemetry::duration("engine.commit");
@@ -732,291 +479,12 @@ DSF MatcherEngine::commit(std::vector<Match> &Matches, const CommitAction &Act,
     Pinned.push_back(std::move(PM));
   }
 
-  // Serial fast path: requested shard count, a client whose callback is not
-  // thread-safe, or too few matches to partition. Tracing no longer forces
-  // this path: worker trace lines are buffered per partition and replayed
-  // in walk order, exactly like diagnostics. The conflict-analysis probe
-  // counters stay untouched here — they describe the partitioned path only.
-  unsigned NumShards = std::max(1u, Interp.getOptions().CommitShards);
-  if (NumShards <= 1 || ClientRequiresSerial || Pinned.size() <= 1) {
-    for (const PinnedMatch &PM : Pinned) {
-      if (isStaleMatch(State, PM))
-        continue;
-      DSF Result = Act(Interp, PM);
-      if (!Result.succeeded())
-        return Result;
-    }
-    return DSF::success();
-  }
-  return commitPartitioned(Pinned, Act, NumShards);
-}
-
-DSF MatcherEngine::commitPartitioned(std::vector<PinnedMatch> &Pinned,
-                                     const CommitAction &Act,
-                                     unsigned NumShards) {
-  TransformState &State = Interp.getState();
-  Operation *PayloadRoot = State.getPayloadRoot();
-  Operation *ScriptRoot = Interp.getScriptRoot();
-  DiagnosticEngine &DiagEngine = DriverOp->getContext().getDiagEngine();
-
-  // --- Build the conflict partition: maximal contiguous runs of matches
-  // sharing a partition key, in walk order.
-  struct Partition {
-    Operation *Key = nullptr;
-    size_t Begin = 0; ///< [Begin, End) into Pinned.
-    size_t End = 0;
-    std::string SerialReason; ///< Non-empty: run as an in-order barrier.
-  };
-  std::vector<Partition> Partitions;
-  for (size_t I = 0; I < Pinned.size(); ++I) {
-    Operation *Key =
-        commitPartitionKey(Pinned[I].OriginalCandidate, PayloadRoot);
-    if (!Partitions.empty() && Partitions.back().Key == Key) {
-      Partitions.back().End = I + 1;
+  for (const PinnedMatch &PM : Pinned) {
+    if (isStaleMatch(State, PM))
       continue;
-    }
-    Partition Part;
-    Part.Key = Key;
-    Part.Begin = I;
-    Part.End = I + 1;
-    Partitions.push_back(std::move(Part));
-  }
-
-  // --- Decide which partitions may commit concurrently.
-  std::set<Operation *> SeenKeys;
-  for (Partition &Part : Partitions) {
-    // A key recurring in a later, non-adjacent run shares payload with the
-    // earlier partition; only the later run needs to serialize (barriers
-    // execute in walk order, so the first occurrence stays parallel-safe).
-    if (!SeenKeys.insert(Part.Key).second) {
-      Part.SerialReason = "its payload subtree recurs in earlier matches";
-      continue;
-    }
-    if (Part.Key == PayloadRoot) {
-      Part.SerialReason =
-          "its candidate is not nested below a top-level child of the "
-          "payload root";
-      continue;
-    }
-    for (size_t I = Part.Begin; I < Part.End && Part.SerialReason.empty();
-         ++I) {
-      const PinnedMatch &PM = Pinned[I];
-      // An action handed the top-level child itself may erase or replace
-      // it, splicing the payload root's own block — structure every
-      // partition shares.
-      if (PM.OriginalCandidate == Part.Key) {
-        Part.SerialReason =
-            "its action runs on a top-level child of the payload root";
-        continue;
-      }
-      const std::string &ActionReason = actionSerialReason(PM.PairIdx);
-      if (!ActionReason.empty()) {
-        Part.SerialReason = ActionReason;
-        continue;
-      }
-      // Matcher-forwarded payload must stay inside the partition's subtree
-      // too (checked against the pins before any action has run).
-      for (const PinnedSlot &Slot : PM.Slots) {
-        if (!Slot.Handle)
-          continue;
-        for (Operation *Fwd : State.getPayloadOps(Slot.Handle)) {
-          if (Fwd == Part.Key) {
-            Part.SerialReason =
-                "its action runs on a top-level child of the payload root";
-            break;
-          }
-          if (!Part.Key->isAncestorOf(Fwd)) {
-            Part.SerialReason =
-                "matcher-forwarded payload crosses the partition boundary";
-            break;
-          }
-        }
-        if (!Part.SerialReason.empty())
-          break;
-      }
-    }
-  }
-
-  // Warm the per-OpInfo TransformOpDef cache for every op an action can
-  // execute, exactly as the sharded match walk warms its matchers: the lazy
-  // fill in lookupTransformOpDef must not race across workers.
-  for (Pair &P : Pairs)
-    if (P.Action)
-      P.Action->walk([](Operation *Nested) {
-        if (Nested->getDialectName() == "transform")
-          (void)lookupTransformOpDef(Nested);
-      });
-
-  TransformOptions ScratchOptions = Interp.getOptions();
-  ScratchOptions.MatchShards = 1;  // No nested parallelism inside a worker.
-  ScratchOptions.CommitShards = 1;
-
-  // Runs one partition on the driver interpreter (pins live in the driver
-  // state already); used for barriers and single-partition waves.
-  auto RunSerialPartition = [&](const Partition &Part) -> DSF {
-    ++Interp.NumSerialCommitPartitions;
-    static telemetry::Counter &SerialPartitions =
-        telemetry::counter("engine.commit.serial_partitions");
-    SerialPartitions.add();
-    telemetry::ScopedSpan PartSpan("commit:serial-partition", "engine");
-    PartSpan.arg("matches", static_cast<int64_t>(Part.End - Part.Begin));
-    for (size_t I = Part.Begin; I < Part.End; ++I) {
-      const PinnedMatch &PM = Pinned[I];
-      if (isStaleMatch(State, PM))
-        continue;
-      DSF Result = Act(Interp, PM);
-      if (!Result.succeeded())
-        return Result;
-    }
-    return DSF::success();
-  };
-
-  // Runs the maximal run of parallel-safe partitions [WaveBegin, WaveEnd)
-  // concurrently: round-robin partitions over workers, each with a scratch
-  // interpreter whose state records payload-tracking events; after the join,
-  // per-partition diagnostics and events are replayed into the driver in
-  // walk order, so the merged outcome is byte-identical to serial.
-  auto RunWave = [&](size_t WaveBegin, size_t WaveEnd) -> DSF {
-    size_t WaveSize = WaveEnd - WaveBegin;
-    unsigned NumWorkers =
-        static_cast<unsigned>(std::min<size_t>(NumShards, WaveSize));
-    telemetry::ScopedSpan WaveSpan("commit:wave", "engine");
-    WaveSpan.arg("partitions", static_cast<int64_t>(WaveSize));
-    WaveSpan.arg("workers", static_cast<int64_t>(NumWorkers));
-
-    std::vector<std::unique_ptr<TransformInterpreter>> Workers;
-    for (unsigned W = 0; W < NumWorkers; ++W) {
-      Workers.push_back(std::make_unique<TransformInterpreter>(
-          PayloadRoot, ScriptRoot, ScratchOptions));
-      Workers.back()->getState().enableEventLog();
-    }
-    // Transfer the wave's pinned handles into the owning worker's state
-    // (single-threaded, before any worker starts): the staleness check and
-    // the client callback read them through the worker.
-    for (size_t K = 0; K < WaveSize; ++K) {
-      TransformState &WState = Workers[K % NumWorkers]->getState();
-      const Partition &Part = Partitions[WaveBegin + K];
-      for (size_t I = Part.Begin; I < Part.End; ++I) {
-        const PinnedMatch &PM = Pinned[I];
-        WState.adoptBinding(PM.CandidateHandle, State);
-        for (const PinnedSlot &Slot : PM.Slots)
-          if (Slot.Handle)
-            WState.adoptBinding(Slot.Handle, State);
-      }
-    }
-
-    // Each slot is written by exactly one worker; the merge reads them after
-    // the join.
-    std::vector<std::vector<Diagnostic>> PartDiags(WaveSize);
-    std::vector<std::string> PartTrace(WaveSize);
-    std::vector<std::vector<PayloadEvent>> PartEvents(WaveSize);
-    std::vector<DSF> PartResults(WaveSize, DSF::success());
-    // Earliest failed partition (wave-relative); workers skip partitions
-    // past it. Partitions *before* it always complete, so the merge can
-    // replay exactly what the serial commit would have done up to the
-    // failure point.
-    std::atomic<size_t> MinFailed{WaveSize};
-
-    auto RunWorker = [&](unsigned W) {
-      TransformInterpreter &Worker = *Workers[W];
-      telemetry::ScopedSpan WorkerSpan("commit:worker", "engine");
-      WorkerSpan.arg("worker", static_cast<int64_t>(W));
-      ThreadDiagnosticCapture Capture;
-      for (size_t K = W; K < WaveSize; K += NumWorkers) {
-        if (K > MinFailed.load(std::memory_order_acquire))
-          continue;
-        Capture.clear();
-        const Partition &Part = Partitions[WaveBegin + K];
-        telemetry::ScopedSpan PartSpan("commit:partition", "engine");
-        PartSpan.arg("matches", static_cast<int64_t>(Part.End - Part.Begin));
-        DSF PartResult = DSF::success();
-        for (size_t I = Part.Begin; I < Part.End; ++I) {
-          const PinnedMatch &PM = Pinned[I];
-          if (isStaleMatch(Worker.getState(), PM))
-            continue;
-          PartResult = Act(Worker, PM);
-          if (!PartResult.succeeded())
-            break;
-        }
-        PartDiags[K] = Capture.takeDiagnostics();
-        PartTrace[K] = Worker.takeTraceLog();
-        PartEvents[K] = Worker.getState().takeEvents();
-        if (!PartResult.succeeded()) {
-          PartResults[K] = std::move(PartResult);
-          size_t Cur = MinFailed.load(std::memory_order_acquire);
-          while (K < Cur && !MinFailed.compare_exchange_weak(
-                                Cur, K, std::memory_order_acq_rel))
-            ;
-        }
-      }
-    };
-
-    std::vector<std::thread> Threads;
-    Threads.reserve(NumWorkers);
-    for (unsigned W = 0; W < NumWorkers; ++W)
-      Threads.emplace_back([&, W] { RunWorker(W); });
-    for (std::thread &T : Threads)
-      T.join();
-
-    for (std::unique_ptr<TransformInterpreter> &Worker : Workers) {
-      Interp.NumExecutedOps += Worker->NumExecutedOps;
-      Interp.NumMatcherInvocations += Worker->NumMatcherInvocations;
-    }
-
-    // Replay per-partition diagnostics and payload-tracking events into the
-    // driver in walk order, up to and including the earliest failing
-    // partition (its action ran, exactly as it would have serially; later
-    // partitions that raced ahead are dropped — the run aborts anyway).
-    size_t Failed = MinFailed.load(std::memory_order_acquire);
-    size_t ReplayEnd = Failed == WaveSize ? WaveSize : Failed + 1;
-    for (size_t K = 0; K < ReplayEnd; ++K) {
-      ++Interp.NumParallelCommitPartitions;
-      static telemetry::Counter &ParallelPartitions =
-          telemetry::counter("engine.commit.parallel_partitions");
-      ParallelPartitions.add();
-      Interp.appendTraceLog(PartTrace[K]);
-      for (const Diagnostic &Diag : PartDiags[K])
-        DiagEngine.report(Diag);
-      for (const PayloadEvent &Event : PartEvents[K]) {
-        if (Event.EventKind == PayloadEvent::Kind::Replace)
-          State.replacePayloadOp(Event.Old, Event.Ops);
-        else
-          State.invalidateAliasesByIdentity(Event.Ops);
-      }
-    }
-    if (Failed != WaveSize)
-      return PartResults[Failed];
-    return DSF::success();
-  };
-
-  // --- Execute: serial partitions are in-order barriers; maximal runs of
-  // parallel-safe partitions form one concurrent wave each. A lone
-  // parallel-safe partition gains nothing from a worker thread and runs
-  // inline on the driver.
-  size_t P = 0;
-  while (P < Partitions.size()) {
-    if (!Partitions[P].SerialReason.empty()) {
-      DSF Result = RunSerialPartition(Partitions[P]);
-      if (!Result.succeeded())
-        return Result;
-      ++P;
-      continue;
-    }
-    size_t WaveEnd = P;
-    while (WaveEnd < Partitions.size() &&
-           Partitions[WaveEnd].SerialReason.empty())
-      ++WaveEnd;
-    if (WaveEnd - P == 1) {
-      DSF Result = RunSerialPartition(Partitions[P]);
-      if (!Result.succeeded())
-        return Result;
-      ++P;
-      continue;
-    }
-    DSF WaveResult = RunWave(P, WaveEnd);
-    if (!WaveResult.succeeded())
-      return WaveResult;
-    P = WaveEnd;
+    DSF Result = Act(PM);
+    if (!Result.succeeded())
+      return Result;
   }
   return DSF::success();
 }

@@ -11,39 +11,27 @@
 /// matchers reusable by many drivers, with actions applied separately. The
 /// engine exposes an explicit two-phase API:
 ///
-///  * The **match phase** is side-effect-free. It walks the payload in
-///    deterministic pre-order, offers each op to the registered
+///  * The **match phase** is side-effect-free. It walks the payload once,
+///    in deterministic pre-order, offers each op to the registered
 ///    (matcher, action) pairs — first matcher to succeed claims the op —
 ///    and produces an ordered list of matches with the values their
 ///    matchers forwarded. Matchers run in *matcher mode* (only
-///    `TransformOpDef::MatcherOk` ops may execute) against scratch
-///    interpreter states, so the phase never touches the driver's
-///    TransformState or the payload IR. Because of that purity the walk can
-///    be sharded across worker threads (one shard pool partitioned over the
-///    top-level children of each root, e.g. per `func.func` of a module);
-///    shard results are merged back into serial walk order before being
-///    returned, so the match set — and everything downstream — is
-///    byte-identical to the single-threaded walk.
+///    `TransformOpDef::MatcherOk` ops may execute) against a scratch
+///    interpreter state, so the phase never touches the driver's
+///    TransformState or the payload IR.
 ///
-///  * The **commit phase** mutates payload and is parallel for the
-///    conflict-free common case. Every match is pinned under tracked
-///    synthetic handles *before* the first action runs, so the interpreter's
-///    consumption/invalidation rules and the TrackingListener pathway keep
-///    pending matches consistent while earlier actions rewrite payload.
-///    Matches whose candidate (or any forwarded op) was consumed, erased, or
-///    replaced by an earlier action are skipped as stale; each surviving
-///    match is handed to a per-client callback (execute an action sequence,
-///    apply a pattern set, ...). When `TransformOptions::CommitShards` > 1,
-///    the pinned matches are grouped into a *conflict partition*: contiguous
-///    runs of matches sharing the same top-level ancestor (the same
-///    per-root-child units the sharded walk distributes). A static locality
-///    analysis over each action body decides whether every action run stays
-///    inside its own partition's payload subtree; partitions that pass
-///    commit concurrently on worker threads, partitions that do not fall
-///    back to the serial path as in-order barriers. Per-worker diagnostics
-///    and payload-tracking events are merged back into serial walk order, so
-///    remarks, errors, and payload output are byte-identical to the serial
-///    commit at any shard count.
+///  * The **commit phase** mutates payload, in walk order. Every match is
+///    pinned under tracked synthetic handles *before* the first action runs,
+///    so the interpreter's consumption/invalidation rules and the
+///    TrackingListener pathway keep pending matches consistent while earlier
+///    actions rewrite payload. Matches whose candidate (or any forwarded op)
+///    was consumed, erased, or replaced by an earlier action are skipped as
+///    stale; each surviving match is handed to a per-client callback
+///    (execute an action sequence, apply a pattern set, ...).
+///
+/// Both phases are serial: multi-threaded variants of each measured slower
+/// than this walk at every payload size tried (200 to 20000 functions on 4
+/// cores), so there are none.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,7 +44,6 @@
 
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -141,10 +128,6 @@ public:
     /// The matcher's yield operands (the candidate itself for an
     /// operand-less yield), in yield order.
     std::vector<ForwardedValue> Values;
-    /// Diagnostics the successful matcher emitted (remarks etc.), replayed
-    /// in merge order so `transform.debug.emit_remark` stays usable inside
-    /// matchers even under the sharded walk.
-    std::vector<Diagnostic> MatcherDiags;
   };
 
   /// One forwarded value pinned for the commit phase: a tracked synthetic
@@ -220,9 +203,8 @@ public:
   /// when \p RestrictRoot), offering each op to the pairs in order, and
   /// appends the matches to \p Out in deterministic walk order. Each payload
   /// op is claimed at most once even when roots are duplicated or nested.
-  /// Runs sharded across `TransformOptions::MatchShards` worker threads when
-  /// that is > 1; the result is identical to the serial walk either way.
-  /// Returns the first definite matcher failure, if any.
+  /// Diagnostics of successful matchers are reported after the walk, in
+  /// walk order. Returns the first definite matcher failure, if any.
   DiagnosedSilenceableFailure match(const std::vector<Operation *> &Roots,
                                     bool RestrictRoot,
                                     std::vector<Match> &Out);
@@ -232,31 +214,18 @@ public:
   /// use this for driver-specific pins (root handles, forwarded results).
   Value pin(std::vector<Operation *> Ops);
 
-  /// Per-match commit callback. \p Worker is the interpreter whose state
-  /// holds the pinned handles for this invocation: the driver's own
-  /// interpreter on the serial path, a worker-thread scratch interpreter in
-  /// the parallel commit phase. Clients must read handles and execute action
-  /// bodies through \p Worker — never through a captured driver state — or
-  /// parallel commits would race on the driver's TransformState.
-  using CommitAction = std::function<DiagnosedSilenceableFailure(
-      TransformInterpreter &Worker, const PinnedMatch &PM)>;
+  /// Per-match commit callback; the pinned handles live in the driver's
+  /// TransformState.
+  using CommitAction =
+      std::function<DiagnosedSilenceableFailure(const PinnedMatch &PM)>;
 
   /// Commit phase. Pins every match (candidate + forwarded op values) up
   /// front, then invokes \p Act on each match, in walk order, whose
   /// candidate still maps to exactly the op the matcher approved and whose
   /// forwarded op handles are all still live; stale matches are skipped.
   /// Stops at the first failing action.
-  ///
-  /// With `TransformOptions::CommitShards` > 1 the matches are committed via
-  /// the conflict partition described in the file comment; the result —
-  /// payload, diagnostics, and failure — is byte-identical to the serial
-  /// commit. Clients whose callback mutates client-owned state that is not
-  /// safe to touch from worker threads (e.g. foreach_match pinning forwarded
-  /// results mid-commit) pass \p ClientRequiresSerial to force the serial
-  /// path regardless of the shard count.
   DiagnosedSilenceableFailure commit(std::vector<Match> &Matches,
-                                     const CommitAction &Act,
-                                     bool ClientRequiresSerial = false);
+                                     const CommitAction &Act);
 
 private:
   struct Pair {
@@ -271,34 +240,17 @@ private:
     /// the single walk cheap even with many pairs.
     std::vector<std::vector<OpSetElement>> PrefilterConjuncts;
     std::vector<Type> ForwardedTypes;
-    /// Lazily computed verdict of the commit-phase locality analysis over
-    /// the action body: empty when every run of the action provably stays
-    /// inside its candidate's payload subtree, otherwise the human-readable
-    /// reason partitions committing this pair must run serially.
-    std::string SerialReason;
-    bool SerialReasonAnalyzed = false;
   };
 
-  /// Returns (computing and caching on first use) the pair's locality
-  /// verdict; see Pair::SerialReason.
-  const std::string &actionSerialReason(size_t PairIdx);
-
-  /// The partitioned (parallel) commit path; only called when the shard
-  /// count, trace mode, client constraints, and match count all permit it.
-  DiagnosedSilenceableFailure
-  commitPartitioned(std::vector<PinnedMatch> &Pinned, const CommitAction &Act,
-                    unsigned NumShards);
-
   /// Offers \p Candidate to the pairs in order using the scratch
-  /// interpreter \p Scratch and the walk worker's diagnostic capture;
-  /// records a claim into \p Out. Definite matcher failures return with
-  /// their captured diagnostics in \p ErrDiags.
+  /// interpreter \p Scratch and the walk's diagnostic capture; records a
+  /// claim into \p Out. Diagnostics of a matcher that succeeds or fails
+  /// definitely are appended to \p Replay.
   DiagnosedSilenceableFailure tryCandidate(TransformInterpreter &Scratch,
                                            ThreadDiagnosticCapture &Capture,
                                            Operation *Candidate,
-                                           std::set<Operation *> &Visited,
                                            std::vector<Match> &Out,
-                                           std::vector<Diagnostic> &ErrDiags);
+                                           std::vector<Diagnostic> &Replay);
 
   TransformInterpreter &Interp;
   Operation *DriverOp;

@@ -132,12 +132,6 @@ struct TransformOpDef {
   /// consume, or otherwise irreversibly touch payload must leave this false;
   /// the interpreter rejects them in matcher mode.
   bool MatcherOk = false;
-  /// Whether the op's Apply dispatches into the registered-pass
-  /// infrastructure (the auto-generated `transform.<contracted-pass>` ops).
-  /// Pass runners walk and rewrite whole payload subtrees through shared
-  /// machinery, so the commit-phase locality analysis pins any action using
-  /// one to the serial in-order path.
-  bool RunsRegisteredPass = false;
 };
 
 /// Registry of transform op behaviors, keyed by op name. The companion
@@ -192,25 +186,6 @@ std::string unknownPatternSetMessage(std::string_view Name);
 // TransformState
 //===----------------------------------------------------------------------===//
 
-/// One payload mutation observed by a worker-local TransformState during the
-/// matcher engine's parallel commit phase, recorded for in-order replay into
-/// the driver state after the worker's wave joins.
-struct PayloadEvent {
-  enum class Kind {
-    /// `Old` was replaced by `Ops` (erase when `Ops` is empty).
-    Replace,
-    /// A handle was consumed; `Ops` holds the closure of the consumed
-    /// payload (the consumed ops and everything nested within them),
-    /// snapshotted while the IR was still intact. Replay invalidates driver
-    /// handles by pointer identity against this set and never dereferences
-    /// the ops — they may have been freed by the consuming action.
-    Consume,
-  };
-  Kind EventKind;
-  Operation *Old = nullptr;
-  std::vector<Operation *> Ops;
-};
-
 /// The interpreter's association table: handle values to payload ops,
 /// parameter values to attributes, and the invalidation set.
 class TransformState {
@@ -248,26 +223,6 @@ public:
   /// dangling keys behind.
   void forget(Value Handle);
 
-  /// Copies \p Handle's binding — payload ops or params *and* the
-  /// invalidated bit — from \p From into this state. The parallel commit
-  /// phase uses this to hand a match's pinned handles from the driver state
-  /// to the worker state that will run its action (setPayload would clear
-  /// the invalidated bit, losing staleness from earlier waves).
-  void adoptBinding(Value Handle, const TransformState &From);
-
-  /// Invalidates every non-invalidated handle holding an op of \p Closure
-  /// (pointer identity only — members of \p Closure are never dereferenced,
-  /// so the set may contain ops that have since been freed). This is the
-  /// alias-invalidation half of consume(), exposed for replaying Consume
-  /// events recorded by commit workers.
-  void invalidateAliasesByIdentity(const std::vector<Operation *> &Closure);
-
-  /// Starts recording Replace/Consume payload events (worker states of the
-  /// parallel commit phase).
-  void enableEventLog() { EventLogEnabled = true; }
-  /// Moves the recorded events out for replay.
-  std::vector<PayloadEvent> takeEvents() { return std::move(Events); }
-
   /// Number of handle->payload entries (for tests/benchmarks).
   size_t getNumHandles() const { return HandleMap.size(); }
 
@@ -276,8 +231,6 @@ private:
   std::map<ValueImpl *, std::vector<Operation *>> HandleMap;
   std::map<ValueImpl *, std::vector<Attribute>> ParamMap;
   std::set<ValueImpl *> Invalidated;
-  bool EventLogEnabled = false;
-  std::vector<PayloadEvent> Events;
 };
 
 /// Rewrite listener that keeps a TransformState's handles up to date while
@@ -304,28 +257,15 @@ struct TransformOptions {
   /// 3.3, "Checking Pre- and Post-Conditions Dynamically").
   bool CheckConditions = false;
   /// Print each transform op before applying it. Trace lines are buffered
-  /// per interpreter and merged back into serial walk order by the engine's
-  /// sharded phases, so the output is byte-identical at any shard count.
+  /// per interpreter and written when the run ends.
   bool Trace = false;
   /// Where trace lines go. Null means errs().
   raw_ostream *TraceStream = nullptr;
   /// Treat a silenceable failure surviving to the top level as an error.
   bool FailOnSilenceable = true;
-  /// Number of worker threads for the MatcherEngine's payload walk
-  /// (foreach_match, collect_matching, match-driven apply_patterns). The
-  /// match phase is side-effect-free, so it shards per top-level child of
-  /// each root (one unit per `func.func` of a module payload) and merges
-  /// results back into serial walk order; output is byte-identical to the
-  /// single-threaded walk. 0 or 1 means serial.
+  /// Read by no code; kept only because perfsuite/bench_suite.cpp assigns it.
   unsigned MatchShards = 1;
-  /// Number of worker threads for the MatcherEngine's commit phase. Pinned
-  /// matches are grouped into partitions by their candidate's top-level
-  /// ancestor (the same per-root-child units as the sharded walk); a static
-  /// conflict analysis over each action body marks partitions whose actions
-  /// could touch payload outside the partition, and those fall back to the
-  /// serial path as in-order barriers. Disjoint partitions commit
-  /// concurrently; payload output and diagnostics are byte-identical to the
-  /// serial commit at any shard count. 0 or 1 means serial.
+  /// Read by no code; kept only because perfsuite/bench_suite.cpp assigns it.
   unsigned CommitShards = 1;
 };
 
@@ -381,23 +321,10 @@ public:
                                                 std::string_view AttrName,
                                                 unsigned FirstParamOperand);
 
-  /// Statistics for the ablation benchmarks.
-  int64_t NumExecutedOps = 0;
-  /// Number of matcher-sequence invocations performed by foreach_match.
-  int64_t NumMatcherInvocations = 0;
-  /// Conflict-analysis probe counters for the parallel commit phase
-  /// (CommitShards > 1): partitions committed concurrently on worker
-  /// threads vs. partitions that fell back to the serial in-order path.
-  /// Untouched when the serial fast path runs (shards <= 1 or a client
-  /// that requires serial commit).
-  int64_t NumParallelCommitPartitions = 0;
-  int64_t NumSerialCommitPartitions = 0;
-
-  /// Buffered `[transform] <op>` lines (TransformOptions::Trace). Scratch
-  /// interpreters on engine worker threads buffer privately; the engine
-  /// drains per-unit (match) or per-partition (commit) and replays the
-  /// pieces in serial walk order, so the merged trace is byte-identical to
-  /// the single-threaded run. The driver flushes once at the end of run().
+  /// Buffered `[transform] <op>` lines (TransformOptions::Trace). The
+  /// matcher engine's scratch interpreter buffers its matcher lines and the
+  /// engine appends them to the driver's buffer after the walk; the driver
+  /// flushes once at the end of run().
   std::string takeTraceLog() { return std::move(TraceLog); }
   void appendTraceLog(std::string_view Text) { TraceLog += Text; }
   /// Writes the buffered lines to TransformOptions::TraceStream (errs()

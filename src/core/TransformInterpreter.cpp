@@ -46,9 +46,7 @@ const TransformOpDef *tdl::lookupTransformOpDef(const Operation *Op) {
   if (const void *Cached = Info->TransformDefCache)
     return static_cast<const TransformOpDef *>(Cached);
   // Cache only successful lookups so a definition registered after the
-  // first probe (late dialect extension) is still picked up — and so a
-  // failed probe never writes the shared cache slot (the sharded matcher
-  // walk warms this cache up front and relies on workers not writing it).
+  // first probe (late dialect extension) is still picked up.
   const TransformOpDef *Def =
       TransformOpRegistry::instance().lookup(Op->getName());
   if (Def)
@@ -97,26 +95,11 @@ void TransformState::consume(Value Handle) {
   Invalidated.insert(Handle.getImpl());
   if (It == HandleMap.end())
     return;
-  // Snapshot the closure of the consumed payload — the ops themselves and
-  // everything nested within them — while the IR is still intact. Alias
-  // invalidation (and, on worker states, the replayable Consume event) then
-  // works by pointer identity over this set, so it never dereferences the
-  // ops again after the consuming transform may have freed them.
-  std::vector<Operation *> Closure;
+  // Every other handle holding one of the consumed ops, or an op nested
+  // within them, is invalidated too.
+  std::set<const Operation *> InClosure;
   for (Operation *Mine : It->second)
-    Mine->walk([&](Operation *Nested) { Closure.push_back(Nested); });
-  invalidateAliasesByIdentity(Closure);
-  if (EventLogEnabled) {
-    PayloadEvent Event;
-    Event.EventKind = PayloadEvent::Kind::Consume;
-    Event.Ops = std::move(Closure);
-    Events.push_back(std::move(Event));
-  }
-}
-
-void TransformState::invalidateAliasesByIdentity(
-    const std::vector<Operation *> &Closure) {
-  std::set<const Operation *> InClosure(Closure.begin(), Closure.end());
+    Mine->walk([&](Operation *Nested) { InClosure.insert(Nested); });
   for (auto &[OtherImpl, OtherOps] : HandleMap) {
     if (Invalidated.count(OtherImpl))
       continue;
@@ -129,29 +112,8 @@ void TransformState::invalidateAliasesByIdentity(
   }
 }
 
-void TransformState::adoptBinding(Value Handle, const TransformState &From) {
-  ValueImpl *Impl = Handle.getImpl();
-  auto HandleIt = From.HandleMap.find(Impl);
-  if (HandleIt != From.HandleMap.end())
-    HandleMap[Impl] = HandleIt->second;
-  auto ParamIt = From.ParamMap.find(Impl);
-  if (ParamIt != From.ParamMap.end())
-    ParamMap[Impl] = ParamIt->second;
-  if (From.Invalidated.count(Impl))
-    Invalidated.insert(Impl);
-  else
-    Invalidated.erase(Impl);
-}
-
 void TransformState::replacePayloadOp(
     Operation *Old, const std::vector<Operation *> &Replacements) {
-  if (EventLogEnabled) {
-    PayloadEvent Event;
-    Event.EventKind = PayloadEvent::Kind::Replace;
-    Event.Old = Old;
-    Event.Ops = Replacements;
-    Events.push_back(std::move(Event));
-  }
   for (auto &[Impl, Ops] : HandleMap) {
     if (Invalidated.count(Impl))
       continue;
@@ -299,13 +261,12 @@ void TransformInterpreter::flushTraceLog() {
 }
 
 DiagnosedSilenceableFailure TransformInterpreter::executeOp(Operation *Op) {
-  ++NumExecutedOps;
   static telemetry::Counter &ExecutedOps =
       telemetry::counter("interp.executed_ops");
   ExecutedOps.add();
   if (Options.Trace) {
-    // Buffered, not written: engine shards drain and replay these per
-    // unit/partition so the merged trace is deterministic (see flushTraceLog).
+    // Buffered, not written: the matcher engine moves its scratch
+    // interpreter's lines into the driver's buffer (see flushTraceLog).
     TraceLog += "[transform] ";
     TraceLog += Op->getName();
     TraceLog += '\n';

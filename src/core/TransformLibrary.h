@@ -17,8 +17,8 @@
 ///  * `TransformLibraryManager` loads library files, parses, verifies, and
 ///    `analyzeHandleTypes`-checks each one exactly **once**, and caches the
 ///    loaded module keyed by canonical path + content hash — repeated
-///    interpretations (and all match shards) reuse the same checked library
-///    instead of re-parsing. The manager owns the long-lived library
+///    interpretations reuse the same checked library instead of
+///    re-parsing. The manager owns the long-lived library
 ///    modules; it must outlive every interpreter that resolves into them.
 ///  * `transform.import` links library symbols into a script's resolution
 ///    scope (`{from = @lib, symbol = @m}`, or import-all with `symbol`

@@ -106,8 +106,6 @@ static DSF applyToEachLoop(Operation *Op, TransformInterpreter &Interp,
   std::vector<std::vector<size_t>> Ancestors =
       computePayloadAncestors(Payload);
   std::vector<bool> Transformed(Payload.size(), false);
-  // Per-thread capture: loop transforms run on commit-phase worker threads,
-  // where swapping the engine-wide handler would race.
   ThreadDiagnosticCapture Capture;
   for (size_t I = 0; I < Payload.size(); ++I) {
     bool Skip = false;
@@ -248,7 +246,7 @@ static DSF applyForeachMatch(Operation *Op, TransformInterpreter &Interp) {
   for (Operation *Root : Roots)
     RootPins.push_back(Engine.pin({Root}));
 
-  // Match phase: the (optionally sharded) pure walk.
+  // Match phase: the pure walk.
   std::vector<MatcherEngine::Match> Matches;
   DSF MatchResult = Engine.match(Roots, RestrictRoot, Matches);
   if (!MatchResult.succeeded())
@@ -261,16 +259,8 @@ static DSF applyForeachMatch(Operation *Op, TransformInterpreter &Interp) {
   size_t NumForwarded = Op->getNumResults() > 0 ? Op->getNumResults() - 1 : 0;
   std::vector<Value> ResultPins;
   std::vector<size_t> ResultPinSlots;
-  // With forwarded results the callback pins yielded ops into the driver's
-  // state and appends to the vectors above mid-commit — none of which is
-  // safe from worker threads — so it requires the serial commit path. The
-  // common no-result form binds and executes purely through the worker
-  // interpreter and parallelizes.
   DSF CommitResult = Engine.commit(
-      Matches,
-      [&](TransformInterpreter &Worker,
-          const MatcherEngine::PinnedMatch &PM) -> DSF {
-        TransformState &WState = Worker.getState();
+      Matches, [&](const MatcherEngine::PinnedMatch &PM) -> DSF {
         Operation *Action = Engine.getAction(PM.PairIdx);
         Block &ActionBody = Action->getRegion(0).front();
         // The candidate is live here (commit() checked), but the action
@@ -282,12 +272,12 @@ static DSF applyForeachMatch(Operation *Op, TransformInterpreter &Interp) {
         for (size_t I = 0; I < PM.Slots.size(); ++I) {
           const MatcherEngine::PinnedSlot &Slot = PM.Slots[I];
           if (Slot.Handle)
-            WState.setPayload(ActionBody.getArgument(I),
-                              WState.getPayloadOps(Slot.Handle));
+            State.setPayload(ActionBody.getArgument(I),
+                             State.getPayloadOps(Slot.Handle));
           else
-            WState.setParams(ActionBody.getArgument(I), Slot.Params);
+            State.setParams(ActionBody.getArgument(I), Slot.Params);
         }
-        DSF ActionResult = Worker.executeBlock(ActionBody);
+        DSF ActionResult = Interp.executeBlock(ActionBody);
         if (!ActionResult.succeeded()) {
           std::string Message = MatchDiag("foreach_match")
                                     .seq("action", Action)
@@ -315,13 +305,13 @@ static DSF applyForeachMatch(Operation *Op, TransformInterpreter &Interp) {
                         " forwarded results are expected"));
         for (size_t I = 0; I < NumForwarded; ++I) {
           Value Yielded = ActionYield->getOperand(I);
-          if (WState.isParam(Yielded))
+          if (State.isParam(Yielded))
             return DSF::definite(MatchDiag("foreach_match")
                                      .seq("action", Action)
                                      .payload(CandidateName)
                                      .text("cannot forward parameter "
                                            "results"));
-          const std::vector<Operation *> &Ops = WState.getPayloadOps(Yielded);
+          const std::vector<Operation *> &Ops = State.getPayloadOps(Yielded);
           if (!FlattenResults && Ops.size() != 1)
             return DSF::definite(
                 MatchDiag("foreach_match")
@@ -338,8 +328,7 @@ static DSF applyForeachMatch(Operation *Op, TransformInterpreter &Interp) {
           ResultPinSlots.push_back(I);
         }
         return DSF::success();
-      },
-      /*ClientRequiresSerial=*/NumForwarded > 0);
+      });
   if (!CommitResult.succeeded())
     return CommitResult;
 
@@ -493,20 +482,15 @@ static DSF applyPatternsPerMatch(Operation *Op, TransformInterpreter &Interp,
   if (!MatchResult.succeeded())
     return MatchResult;
 
+  TrackingListener Listener(Interp.getState());
+  GreedyRewriteConfig Config;
+  Config.Listener = &Listener;
   return Engine.commit(
-      Matches,
-      [&](TransformInterpreter &Worker,
-          const MatcherEngine::PinnedMatch &PM) -> DSF {
-        // Track replacements against the worker's state: under the parallel
-        // commit it holds this match's pins, and the engine replays the
-        // recorded events into the driver in walk order afterwards.
-        TrackingListener Listener(Worker.getState());
-        GreedyRewriteConfig Config;
-        Config.Listener = &Listener;
+      Matches, [&](const MatcherEngine::PinnedMatch &PM) -> DSF {
         // commit() already skipped stale matches, so the pinned handle
         // holds exactly the approved op.
         Operation *Target =
-            Worker.getState().getPayloadOps(PM.CandidateHandle)[0];
+            Interp.getState().getPayloadOps(PM.CandidateHandle)[0];
         (void)applyPatternsGreedily(Target, Sets[PM.PairIdx], Config);
         return DSF::success();
       });
@@ -1402,7 +1386,6 @@ void tdl::registerTransformDialect(Context &Ctx) {
     Def.OperandKinds = {TransformValueKind::Handle};
     Def.ConsumedOperands = {0};
     Def.ResultNestedInOperand = {0};
-    Def.RunsRegisteredPass = true;
     Def.Apply = [](Operation *Op, TransformInterpreter &Interp) -> DSF {
       std::string_view PassName = Op->getStringAttr("pass_name");
       if (PassName.empty())
@@ -1424,7 +1407,6 @@ void tdl::registerTransformDialect(Context &Ctx) {
     Def.OperandKinds = {TransformValueKind::Handle};
     Def.ConsumedOperands = {0};
     Def.ResultNestedInOperand = {0};
-    Def.RunsRegisteredPass = true;
     Def.Apply = [](Operation *Op, TransformInterpreter &Interp) -> DSF {
       return applyContractedPassToPayload(Op, Interp, "expand-forall");
     };
@@ -1438,7 +1420,6 @@ void tdl::registerTransformDialect(Context &Ctx) {
     Def.OperandKinds = {TransformValueKind::Handle};
     Def.ConsumedOperands = {0};
     Def.ResultNestedInOperand = {0};
-    Def.RunsRegisteredPass = true;
     Def.Apply = [](Operation *Op, TransformInterpreter &Interp) -> DSF {
       return applyContractedPassToPayload(Op, Interp, "convert-scf-to-cf");
     };
@@ -1616,7 +1597,6 @@ void tdl::registerTransformDialect(Context &Ctx) {
     Def.ConsumedOperands = {0};
     Def.OperandKinds = {TransformValueKind::Handle};
     Def.ResultNestedInOperand = {0};
-    Def.RunsRegisteredPass = true;
     std::string PassNameCopy = PassName;
     Def.Apply = [PassNameCopy](Operation *Op,
                                TransformInterpreter &Interp) -> DSF {

@@ -163,9 +163,8 @@ public:
       const std::function<std::unique_ptr<AffineMapStorage>()> &Make);
 
   /// Number of Operation objects currently alive in this context; used by
-  /// tests to detect leaks and double frees. Atomic: worker threads in the
-  /// matcher engine's parallel commit phase create and destroy operations
-  /// concurrently.
+  /// tests to detect leaks and double frees. Atomic, so threads may create
+  /// and destroy operations concurrently.
   std::atomic<int64_t> NumLiveOperations{0};
 
 private:

@@ -73,8 +73,8 @@ struct RegisteredStrategy {
 
 /// Options for one dispatch.
 struct DispatchOptions {
-  /// Interpreter options for the strategy run (shards, tracing, dynamic
-  /// condition checks).
+  /// Interpreter options for the strategy run (tracing, dynamic condition
+  /// checks).
   TransformOptions Transform;
   /// Autotuning budget (number of objective evaluations). 0 disables
   /// tuning: parameters bind their first declared candidate.

@@ -32,9 +32,9 @@ struct LocationPool {
   std::map<std::tuple<int, std::string, unsigned, unsigned>,
            const Location::Storage *>
       Interned;
-  /// Worker threads intern locations (every InFlightDiagnostic and every op
-  /// created in the parallel commit phase carries one); the deque keeps
-  /// storage addresses stable, the lock keeps the index consistent.
+  /// Any thread may intern locations (every InFlightDiagnostic and every
+  /// created op carries one); the deque keeps storage addresses stable, the
+  /// lock keeps the index consistent.
   std::mutex Lock;
 
   const Location::Storage *intern(Location::Storage Value) {

@@ -66,8 +66,7 @@ struct Diagnostic {
 
 /// Dispatches diagnostics to a handler. One engine per IR context.
 ///
-/// Threading: `report` may be called from worker threads (the sharded
-/// matcher walk). The error counter is atomic, and a per-thread handler —
+/// Threading: `report` may be called from any thread. The error counter is atomic, and a per-thread handler —
 /// installed via `swapThreadHandler`, typically through
 /// `ThreadDiagnosticCapture` — takes precedence over the engine-wide
 /// handler, so each worker can capture its own diagnostics without racing.
@@ -176,10 +175,8 @@ private:
 
 /// Captures diagnostics reported from the *current thread* into a vector,
 /// leaving diagnostics from other threads routed as before. The matcher
-/// engine installs one around each matcher invocation so the expected
-/// "not this op" failures stay silenced even when the payload walk is
-/// sharded across worker threads (a ScopedDiagnosticCapture would race on
-/// the engine-wide handler).
+/// engine installs one around its payload walk so the expected "not this
+/// op" failures of matchers stay silenced.
 class ThreadDiagnosticCapture {
 public:
   ThreadDiagnosticCapture() {

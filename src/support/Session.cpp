@@ -128,8 +128,6 @@ void Session::echoOptionsIntoReport() {
   Add("strategy_dirs", jsonStringArray(Options.StrategyDirs));
   Add("target", jsonQuoted(Options.Target));
   Add("tune_budget", std::to_string(Options.TuneBudget));
-  Add("match_shards", std::to_string(Options.MatchShards));
-  Add("commit_shards", std::to_string(Options.CommitShards));
   Add("tuning_db", jsonQuoted(Options.TuningDBPath));
   Add("tuning_db_readonly", Flag(Options.TuningDBReadOnly));
   Add("trace", Flag(Options.Trace));
@@ -197,7 +195,7 @@ LogicalResult Session::run() {
   LogicalResult Result = success();
   {
     // The run span/timer close at this scope's end, before the spans are
-    // harvested below; every engine worker thread has been joined by then.
+    // harvested below.
     static telemetry::DurationStat &RunStat =
         telemetry::duration("session.run");
     telemetry::ScopedTimer RunTimer(RunStat);
@@ -342,8 +340,6 @@ LogicalResult Session::runPayload() {
     PhaseTimer Phase(Report, "transform");
     TransformOptions TransformOpts;
     TransformOpts.CheckConditions = Options.CheckConditions;
-    TransformOpts.MatchShards = Options.MatchShards;
-    TransformOpts.CommitShards = Options.CommitShards;
     TransformOpts.Trace = Options.Trace;
     TransformOpts.TraceStream = &ES;
     if (failed(applyTransforms(Payload.get(), Script.get(), TransformOpts)))
@@ -359,8 +355,6 @@ LogicalResult Session::runPayload() {
     Report.Strategy.FallbackChain = Strategies.getFallbackChain(Options.Target);
     strategy::DispatchOptions DispatchOpts;
     DispatchOpts.Transform.CheckConditions = Options.CheckConditions;
-    DispatchOpts.Transform.MatchShards = Options.MatchShards;
-    DispatchOpts.Transform.CommitShards = Options.CommitShards;
     DispatchOpts.Transform.Trace = Options.Trace;
     DispatchOpts.Transform.TraceStream = &ES;
     DispatchOpts.TuneBudget = Options.TuneBudget;

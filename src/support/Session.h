@@ -62,17 +62,11 @@ struct RunOptions {
   std::string Target;
   /// Autotuning budget for dispatch (`--tune-budget=`).
   int TuneBudget = 0;
-  /// Matcher-engine walk shards (`--match-shards=`).
-  unsigned MatchShards = 1;
-  /// Matcher-engine commit shards (`--commit-shards=`).
-  unsigned CommitShards = 1;
   /// Persistent tuning database (`--tuning-db=`; empty = none).
   std::string TuningDBPath;
   /// Never rewrite the tuning database (`--tuning-db-readonly`).
   bool TuningDBReadOnly = false;
-  /// Print each transform op as it executes (`--trace`). Deterministic at
-  /// any shard count: the engine buffers worker trace lines and replays
-  /// them in serial walk order.
+  /// Print each transform op as it executes (`--trace`).
   bool Trace = false;
   /// Write a Chrome `trace_event` JSON file of the run's spans
   /// (`--trace-json=`; empty = off). Load in chrome://tracing or Perfetto.

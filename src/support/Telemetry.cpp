@@ -199,6 +199,26 @@ MetricsSnapshot telemetry::diffSnapshots(const MetricsSnapshot &After,
       for (int B = 0; B < NumHistogramBuckets; ++B)
         V.Buckets[B] =
             std::max<int64_t>(0, V.Buckets[B] - It->second.Buckets[B]);
+      // The lifetime extrema may come from samples before the window; bound
+      // the window's by its lowest and highest non-empty bucket instead.
+      if (It->second.Count > 0) {
+        int Lo = -1, Hi = -1;
+        for (int B = 0; B < NumHistogramBuckets; ++B)
+          if (V.Buckets[B] > 0) {
+            Lo = Lo < 0 ? B : Lo;
+            Hi = B;
+          }
+        if (Lo < 0) {
+          V.MinNanos = V.MaxNanos = 0;
+        } else {
+          int64_t LifeMin = Entry.second.MinNanos;
+          int64_t LifeMax = Entry.second.MaxNanos;
+          int64_t LoBound = Lo == 0 ? 0 : histogramBucketUpperNanos(Lo - 1) + 1;
+          V.MinNanos = std::clamp(LoBound, LifeMin, LifeMax);
+          V.MaxNanos =
+              std::clamp(histogramBucketUpperNanos(Hi), LifeMin, LifeMax);
+        }
+      }
     }
     Diff.Durations[Entry.first] = V;
   }

@@ -18,10 +18,9 @@
 /// **SpanCollector** — a Chrome `trace_event` span recorder. Every thread
 /// appends finished spans to its own buffer (lock-free after a one-time
 /// mutex-guarded registration), and `finish()` merges all buffers after the
-/// producing threads have been joined — the same per-worker-buffer shape as
-/// ThreadDiagnosticCapture, so the sharded match walk and the parallel
-/// commit waves record spans with real thread ids without a shared lock on
-/// the hot path. `ScopedSpan` is a no-op (one relaxed atomic load) while
+/// producing threads have been joined — the same per-thread-buffer shape as
+/// ThreadDiagnosticCapture, so any thread records spans with its own id
+/// without a shared lock on the hot path. `ScopedSpan` is a no-op (one relaxed atomic load) while
 /// the collector is inactive, so instrumentation can stay in release
 /// builds. `writeChromeTrace` emits JSON loadable in chrome://tracing or
 /// Perfetto; `renderProfile` turns the same spans into the `--profile`
@@ -154,9 +153,10 @@ DurationStat &duration(std::string_view Name);
 /// `After - Before`, entry-wise. Entries only present in \p After are kept
 /// as-is (registered mid-window); counters, duration counts, and histogram
 /// buckets never go negative (a reset() between snapshots clamps to zero).
-/// Duration min and max are taken from \p After — extrema are not
-/// subtractable — so window percentiles come from the diffed buckets while
-/// the clamp range stays process-lifetime.
+/// Extrema are not subtractable: when \p Before already holds samples of a
+/// duration, the window's min and max are the bounds of its lowest and
+/// highest non-empty diffed bucket, clamped into \p After's lifetime
+/// [min, max] (0 for an empty window); otherwise they are \p After's.
 MetricsSnapshot diffSnapshots(const MetricsSnapshot &After,
                               const MetricsSnapshot &Before);
 

@@ -8,7 +8,7 @@
 /// Tests for the transform library subsystem (core/TransformLibrary.h): a
 /// script importing a matcher from a separate library file behaves exactly
 /// like the same script with the matcher pasted inline (byte-identical
-/// output, serial and sharded), libraries are parsed/type-checked exactly
+/// output), libraries are parsed/type-checked exactly
 /// once across repeated interpretations (load-count probe), and each
 /// failure mode — missing file, duplicate public symbol, private-symbol
 /// import, cross-file import cycle — produces its precise diagnostic.
@@ -180,8 +180,7 @@ static const char *const ImportIsLoop =
 
 TEST_F(TransformLibraryTest, ImportedMatcherIsByteIdenticalToInline) {
   // The same script once with the matcher pasted inline and once importing
-  // it from a library file must produce byte-identical payload output —
-  // serial and under a sharded matcher walk.
+  // it from a library file must produce byte-identical payload output.
   std::string LibPath = writeFile("mathlib.mlir", MathLibText);
 
   OwningOpRef InlineScript =
@@ -195,22 +194,15 @@ TEST_F(TransformLibraryTest, ImportedMatcherIsByteIdenticalToInline) {
   ASSERT_TRUE(succeeded(Manager.loadLibraryFile(LibPath)));
   ASSERT_TRUE(succeeded(Manager.link(ImportScript.get())));
 
-  for (unsigned NumShards : {1u, 4u}) {
-    TransformOptions Options;
-    Options.MatchShards = NumShards;
+  OwningOpRef InlinePayload = makePayload(6);
+  ASSERT_TRUE(
+      succeeded(applyTransforms(InlinePayload.get(), InlineScript.get())));
+  EXPECT_EQ(countAttr(InlinePayload.get(), "marked_loop"), 6);
 
-    OwningOpRef InlinePayload = makePayload(6);
-    ASSERT_TRUE(succeeded(
-        applyTransforms(InlinePayload.get(), InlineScript.get(), Options)));
-    EXPECT_EQ(countAttr(InlinePayload.get(), "marked_loop"), 6);
-
-    OwningOpRef ImportPayload = makePayload(6);
-    ASSERT_TRUE(succeeded(
-        applyTransforms(ImportPayload.get(), ImportScript.get(), Options)));
-    EXPECT_EQ(printed(ImportPayload.get()), printed(InlinePayload.get()))
-        << "imported matcher diverged from inline at " << NumShards
-        << " shards";
-  }
+  OwningOpRef ImportPayload = makePayload(6);
+  ASSERT_TRUE(
+      succeeded(applyTransforms(ImportPayload.get(), ImportScript.get())));
+  EXPECT_EQ(printed(ImportPayload.get()), printed(InlinePayload.get()));
 }
 
 TEST_F(TransformLibraryTest, LibraryIsParsedExactlyOnceAcrossRuns) {

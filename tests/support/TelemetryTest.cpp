@@ -11,8 +11,7 @@
 /// thread ids, the inactive no-op path), the Chrome trace_event writer and
 /// the --profile attribution table (both against handcrafted span lists
 /// with exact expected output), and the end-to-end regression that --trace
-/// output stays byte-identical between the serial and the sharded
-/// match/commit paths.
+/// keeps the matcher lines of the engine's scratch interpreter.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -99,7 +98,7 @@ TEST(MetricsRegistryTest, ResetZeroesValuesButKeepsHandles) {
 
 TEST(MetricsRegistryTest, RenderTextIsStable) {
   MetricsSnapshot Snap;
-  Snap.Counters["engine.commit.parallel_partitions"] = 8;
+  Snap.Counters["interp.matcher_invocations"] = 8;
   MetricsSnapshot::DurationValue V;
   V.Count = 2;
   V.TotalNanos = 3500000; // 3.5 ms
@@ -112,7 +111,7 @@ TEST(MetricsRegistryTest, RenderTextIsStable) {
   raw_string_ostream OS(Text);
   renderText(Snap, OS);
   EXPECT_EQ(Text, "counters:\n"
-                  "  engine.commit.parallel_partitions: 8\n"
+                  "  interp.matcher_invocations: 8\n"
                   "durations:\n"
                   "  engine.match: count 2, total 3.500 ms, min 1.000 ms, "
                   "max 2.500 ms, p50 1.048 ms, p90 2.500 ms, p99 2.500 ms\n");
@@ -175,9 +174,9 @@ TEST(LatencyHistogramTest, PercentilesSeparateFastAndSlowSamples) {
     D.recordNanos(1000000); // 1 ms
   for (int I = 0; I < 5; ++I)
     D.recordNanos(1000000000); // 1 s
+  MetricsSnapshot Snap = MetricsRegistry::instance().snapshot();
   const MetricsSnapshot::DurationValue &V =
-      MetricsRegistry::instance().snapshot().Durations.at(
-          "test.histogram.bimodal");
+      Snap.Durations.at("test.histogram.bimodal");
   // p50/p90 sit in the 1 ms bucket (upper bound 2^20-1 ns), p99 reaches the
   // slow mode and clamps to the observed max.
   EXPECT_EQ(percentileNanos(V, 50), 1048575);
@@ -196,9 +195,9 @@ TEST(LatencyHistogramTest, PercentileOfEmptyBucketsIsZero) {
 TEST(LatencyHistogramTest, SingleSampleIsExactViaClamping) {
   DurationStat &D = duration("test.histogram.single");
   D.recordNanos(1500);
+  MetricsSnapshot Snap = MetricsRegistry::instance().snapshot();
   const MetricsSnapshot::DurationValue &V =
-      MetricsRegistry::instance().snapshot().Durations.at(
-          "test.histogram.single");
+      Snap.Durations.at("test.histogram.single");
   EXPECT_EQ(percentileNanos(V, 50), 1500);
   EXPECT_EQ(percentileNanos(V, 99), 1500);
 }
@@ -220,8 +219,26 @@ TEST(LatencyHistogramTest, DiffSubtractsBuckets) {
   EXPECT_EQ(V.Buckets[histogramBucketIndex(1000000)], 3);
   // Window percentiles come from the diffed buckets: every in-window
   // sample was 1 ms, and the bucket upper bound (2^20-1 ns) clamps to the
-  // observed process-lifetime max, making the estimate exact here.
+  // window's max, making the estimate exact here.
   EXPECT_EQ(percentileNanos(V, 50), 1000000);
+  // The window's extrema ignore the 1 us samples before it.
+  EXPECT_EQ(V.MinNanos, 524288);
+  EXPECT_EQ(V.MaxNanos, 1000000);
+}
+
+TEST(LatencyHistogramTest, DiffWindowExtremaIgnoreEarlierSamples) {
+  DurationStat &D = duration("test.histogram.window_extrema");
+  D.recordNanos(1000000); // 1 ms, before the window
+  MetricsSnapshot Before = MetricsRegistry::instance().snapshot();
+  D.recordNanos(100); // bucket 7: [64, 127] ns
+  MetricsSnapshot After = MetricsRegistry::instance().snapshot();
+  MetricsSnapshot Diff = diffSnapshots(After, Before);
+  const MetricsSnapshot::DurationValue &V =
+      Diff.Durations.at("test.histogram.window_extrema");
+  EXPECT_EQ(V.Count, 1);
+  EXPECT_LE(V.MaxNanos, 127);
+  EXPECT_EQ(V.MinNanos, 100);
+  EXPECT_LE(percentileNanos(V, 99), 127);
 }
 
 TEST(LatencyHistogramTest, ResetBetweenSnapshotsClampsAtZero) {
@@ -432,9 +449,8 @@ TEST(ProfileTest, AttributesMaximalTransformOpSpansToInterpTime) {
 }
 
 //===----------------------------------------------------------------------===//
-// --trace determinism across shard counts (regression: tracing used to
-// force the serial commit path and was silently dropped in scratch
-// interpreters)
+// --trace through the matcher engine (regression: matcher lines were
+// silently dropped in the engine's scratch interpreter)
 //===----------------------------------------------------------------------===//
 
 class TraceDeterminismTest : public ::testing::Test {
@@ -507,42 +523,27 @@ static const char *const TracedPairsScript = R"("builtin.module"() ({
 }) : () -> ()
 )";
 
-TEST_F(TraceDeterminismTest, TraceIsByteIdenticalAtAnyShardCount) {
+TEST_F(TraceDeterminismTest, TraceListsMatcherOpsThenActionOps) {
   OwningOpRef Script = parseSourceString(Ctx, TracedPairsScript, "script");
   ASSERT_TRUE(Script);
+  OwningOpRef Payload = makeManyFuncPayload(6);
+  ASSERT_TRUE(Payload);
+  std::string Trace;
+  raw_string_ostream TraceOS(Trace);
+  TransformOptions Options;
+  Options.Trace = true;
+  Options.TraceStream = &TraceOS;
+  ASSERT_TRUE(succeeded(applyTransforms(Payload.get(), Script.get(), Options)));
 
-  auto RunTraced = [&](unsigned MatchShards, unsigned CommitShards,
-                       std::string &TraceOut, std::string &PayloadOut) {
-    OwningOpRef Payload = makeManyFuncPayload(6);
-    ASSERT_TRUE(Payload);
-    raw_string_ostream TraceOS(TraceOut);
-    TransformOptions Options;
-    Options.Trace = true;
-    Options.TraceStream = &TraceOS;
-    Options.MatchShards = MatchShards;
-    Options.CommitShards = CommitShards;
-    TransformInterpreter Interp(Payload.get(), Script.get(), Options);
-    ASSERT_TRUE(succeeded(Interp.run()));
-    raw_string_ostream PayloadOS(PayloadOut);
-    Payload->print(PayloadOS);
-  };
-
-  std::string SerialTrace, SerialPayload;
-  RunTraced(1, 1, SerialTrace, SerialPayload);
-  std::string ShardedTrace, ShardedPayload;
-  RunTraced(4, 4, ShardedTrace, ShardedPayload);
-
-  // Tracing used to silently disable the matcher scratch interpreter's
-  // trace and force the serial commit; now both shard counts produce the
-  // same non-trivial trace and the same payload, byte for byte.
-  EXPECT_FALSE(SerialTrace.empty());
-  EXPECT_NE(SerialTrace.find("[transform] transform.annotate"),
-            std::string::npos);
-  EXPECT_NE(SerialTrace.find("[transform] transform.match.operation_name"),
-            std::string::npos);
-  EXPECT_EQ(SerialTrace, ShardedTrace);
-  EXPECT_EQ(SerialPayload, ShardedPayload);
-  EXPECT_NE(SerialPayload.find("marked_loop"), std::string::npos);
+  // The driver op, then one matcher op per claimed loop and load in walk
+  // order (prefiltered candidates run nothing), then one action op per
+  // match.
+  std::string Expected = "[transform] transform.foreach_match\n";
+  for (int I = 0; I < 12; ++I)
+    Expected += "[transform] transform.match.operation_name\n";
+  for (int I = 0; I < 12; ++I)
+    Expected += "[transform] transform.annotate\n";
+  EXPECT_EQ(Trace, Expected);
 }
 
 } // namespace

@@ -23,7 +23,6 @@
 
 #include <cstdlib>
 #include <string>
-#include <thread>
 
 using namespace tdl;
 
@@ -78,22 +77,8 @@ int usage(const char *Argv0) {
          << "  --check-pipeline=<p1,p2,..>  static pre/post-condition check\n"
          << "  --check-conditions           dynamic contract checks while\n"
          << "                               interpreting lowering transforms\n"
-         << "  --match-shards=<N|auto>      shard the matcher-engine payload\n"
-         << "                               walk (foreach_match,\n"
-         << "                               collect_matching) across N worker\n"
-         << "                               threads ('auto' = hardware\n"
-         << "                               concurrency); output is identical\n"
-         << "                               to the serial walk (default 1)\n"
-         << "  --commit-shards=<N|auto>     commit conflict-free matcher-\n"
-         << "                               engine partitions (grouped per\n"
-         << "                               top-level payload child) on N\n"
-         << "                               worker threads ('auto' = hardware\n"
-         << "                               concurrency); payload and\n"
-         << "                               diagnostics stay byte-identical\n"
-         << "                               to the serial commit (default 1)\n"
          << "  --trace                      print each transform op to stderr\n"
-         << "                               as it executes (deterministic at\n"
-         << "                               any shard count)\n"
+         << "                               as it executes\n"
          << "  --trace-json=<path>          write the run's spans as Chrome\n"
          << "                               trace_event JSON; load in\n"
          << "                               chrome://tracing or Perfetto\n"
@@ -153,25 +138,6 @@ int runMergeMode(const std::string &MergeSpec, const std::string &OutPath,
   return 0;
 }
 
-/// Parses a shard-count option value: a plain integer or 'auto', which
-/// resolves to the hardware concurrency (clamped to the accepted range, and
-/// to 1 when the runtime cannot tell). Returns false on malformed or
-/// out-of-range input.
-bool parseShardCount(const std::string &Text, unsigned &Out) {
-  constexpr unsigned MaxShards = 256;
-  if (Text == "auto") {
-    unsigned Detected = std::thread::hardware_concurrency();
-    Out = std::min(std::max(Detected, 1u), MaxShards);
-    return true;
-  }
-  char *End = nullptr;
-  unsigned long Parsed = std::strtoul(Text.c_str(), &End, 10);
-  if (Text.empty() || *End != '\0' || Parsed == 0 || Parsed > MaxShards)
-    return false;
-  Out = static_cast<unsigned>(Parsed);
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -181,8 +147,6 @@ int main(int argc, char **argv) {
   RunOptions Options;
   std::string MergeSpec;
   std::string TuneBudgetText;
-  std::string MatchShardsText;
-  std::string CommitShardsText;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -225,24 +189,6 @@ int main(int argc, char **argv) {
         return usage(argv[0]);
       }
       Options.TuneBudget = static_cast<int>(Parsed);
-      continue;
-    }
-    if (Consume("--match-shards=", MatchShardsText)) {
-      if (!parseShardCount(MatchShardsText, Options.MatchShards)) {
-        errs() << "error: --match-shards expects an integer in [1, 256] or "
-                  "'auto', got '"
-               << MatchShardsText << "'\n";
-        return usage(argv[0]);
-      }
-      continue;
-    }
-    if (Consume("--commit-shards=", CommitShardsText)) {
-      if (!parseShardCount(CommitShardsText, Options.CommitShards)) {
-        errs() << "error: --commit-shards expects an integer in [1, 256] or "
-                  "'auto', got '"
-               << CommitShardsText << "'\n";
-        return usage(argv[0]);
-      }
       continue;
     }
     if (Arg == "--dump-library-symbols")
