@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Ablation microbenchmarks (google-benchmark) for the design choices
-/// DESIGN.md calls out: per-transform-op dispatch cost, handle matching
-/// over growing payloads, invalidation tracking with many live handles, and
-/// macro (include) execution vs. pre-inlined scripts.
+/// Ablation microbenchmarks (google-benchmark) of the interpreter's layers:
+/// per-transform-op dispatch cost, handle matching over growing payloads,
+/// consume-time invalidation over growing payloads with and without live
+/// handles, and macro (include) execution vs. pre-inlined scripts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +19,7 @@
 #include "ir/Parser.h"
 
 #include <benchmark/benchmark.h>
+#include <chrono>
 
 using namespace tdl;
 
@@ -79,42 +80,47 @@ void BM_MatchOverPayload(benchmark::State &State) {
 }
 BENCHMARK(BM_MatchOverPayload)->Arg(100)->Arg(1000)->Arg(4000);
 
-/// Invalidation tracking: consume with K live sibling handles.
+/// Invalidation tracking: consume a whole-module handle over a Table 1 sized
+/// model (range(0) ops) while range(1) other handles are live, each holding
+/// one payload op spread evenly over the model. Only the consume is timed;
+/// binding the handles is set-up.
 void BM_InvalidationTracking(benchmark::State &State) {
   Context &Ctx = Fixture::get().Ctx;
-  std::string Body;
-  for (int I = 0; I < State.range(0); ++I)
-    Body += "    %h" + std::to_string(I) +
-            " = \"transform.match.op\"(%root) {op_name = \"scf.for\"} : "
-            "(!transform.any_op) -> (!transform.any_op)\n";
-  Body += "    %last = \"transform.match.op\"(%root) {op_name = "
-          "\"scf.for\", first} : (!transform.any_op) -> "
-          "(!transform.any_op)\n";
-  Body += "    \"transform.loop.unroll\"(%last) {factor = 2 : index} : "
-          "(!transform.any_op) -> ()\n";
-  OwningOpRef Script = makeScript(Ctx, Body);
+  OwningOpRef Payload =
+      workloads::buildSyntheticTosaModel(Ctx, State.range(0), 3);
+  std::vector<Operation *> Ops;
+  Payload->walk([&](Operation *Op) { Ops.push_back(Op); });
+  int64_t NumLive = State.range(1);
+  // Block arguments serve as handle values; the script never runs.
+  std::string Args = "%root: !transform.any_op";
+  for (int64_t I = 0; I < NumLive; ++I)
+    Args += ", %h" + std::to_string(I) + ": !transform.any_op";
+  OwningOpRef Handles = parseSourceString(
+      Ctx,
+      "\"transform.named_sequence\"() ({\n^bb0(" + Args +
+          "):\n  \"transform.yield\"() : () -> ()\n}) {sym_name = "
+          "\"handles\"} : () -> ()\n",
+      "bench-handles");
+  Block &HandleBlock = Handles->getRegion(0).front();
+  Value Root = HandleBlock.getArgument(0);
   for (auto _ : State) {
-    State.PauseTiming();
-    OwningOpRef Payload = parseSourceString(Ctx, R"(
-      "builtin.module"() ({
-        "func.func"() ({
-          %lb = "arith.constant"() {value = 0 : index} : () -> (index)
-          %ub = "arith.constant"() {value = 8 : index} : () -> (index)
-          %one = "arith.constant"() {value = 1 : index} : () -> (index)
-          "scf.for"(%lb, %ub, %one) ({
-          ^b(%i: index):
-            "scf.yield"() : () -> ()
-          }) : (index, index, index) -> ()
-          "func.return"() : () -> ()
-        }) {sym_name = "f", function_type = () -> ()} : () -> ()
-      }) : () -> ()
-    )");
-    State.ResumeTiming();
-    benchmark::DoNotOptimize(
-        applyTransforms(Payload.get(), Script.get()).succeeded());
+    TransformState Tracked(Payload.get());
+    Tracked.setPayload(Root, {Payload.get()});
+    for (int64_t I = 0; I < NumLive; ++I)
+      Tracked.setPayload(HandleBlock.getArgument(I + 1),
+                         {Ops[(I + 1) * Ops.size() / (NumLive + 1)]});
+    auto Start = std::chrono::steady_clock::now();
+    Tracked.consume(Root);
+    auto End = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(Tracked.isInvalidated(Root));
+    State.SetIterationTime(std::chrono::duration<double>(End - Start).count());
   }
+  State.counters["payload_ops"] = static_cast<double>(Ops.size());
 }
-BENCHMARK(BM_InvalidationTracking)->Arg(1)->Arg(16)->Arg(128);
+// Names read BM_InvalidationTracking/<ops>/<live>.
+BENCHMARK(BM_InvalidationTracking)
+    ->ArgsProduct({{126, 1182, 4134}, {0, 16}})
+    ->UseManualTime();
 
 /// Macro execution vs. pre-inlined scripts (Section 3.4 simplification).
 void BM_IncludeVsInlined(benchmark::State &State) {

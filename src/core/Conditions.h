@@ -200,15 +200,17 @@ void registerBuiltinIRDLConstraints();
 // Dynamic contract checking (Section 3.3, last part)
 //===----------------------------------------------------------------------===//
 
-/// Runs pass \p PassName on \p Target, then dynamically verifies the
-/// contract: ops matching Pre must be gone, newly introduced op kinds must
-/// be covered by Post, and constrained post-ops must satisfy their IRDL
-/// verifier. Returns failure when the pass itself fails; otherwise returns
-/// the violation message ("" when the contract holds).
+/// Runs pass \p PassName on \p Target under pipeline anchor \p Anchor (see
+/// runRegisteredPass), then dynamically verifies the contract: ops matching
+/// Pre must be gone, newly introduced op kinds must be covered by Post, and
+/// constrained post-ops must satisfy their IRDL verifier. Returns failure
+/// when the pass itself fails; otherwise returns the violation message (""
+/// when the contract holds).
 FailureOr<std::string>
 runPassWithDynamicContractCheck(std::string_view PassName,
                                 const LoweringContract &Contract,
-                                Operation *Target);
+                                Operation *Target,
+                                std::string_view Anchor = "");
 
 } // namespace tdl
 

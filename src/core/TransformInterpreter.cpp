@@ -14,6 +14,8 @@
 #include "support/STLExtras.h"
 #include "support/Telemetry.h"
 
+#include <unordered_set>
+
 using namespace tdl;
 
 //===----------------------------------------------------------------------===//
@@ -96,15 +98,20 @@ void TransformState::consume(Value Handle) {
   if (It == HandleMap.end())
     return;
   // Every other handle holding one of the consumed ops, or an op nested
-  // within them, is invalidated too.
-  std::set<const Operation *> InClosure;
-  for (Operation *Mine : It->second)
-    Mine->walk([&](Operation *Nested) { InClosure.insert(Nested); });
+  // within them, is invalidated too. Walk up from the ops the live handles
+  // hold instead of down the consumed payload: a script holds far fewer
+  // handles than there are payload ops, so the cost no longer grows with
+  // the size of the consumed subtree.
+  std::unordered_set<const Operation *> Consumed(It->second.begin(),
+                                                 It->second.end());
   for (auto &[OtherImpl, OtherOps] : HandleMap) {
     if (Invalidated.count(OtherImpl))
       continue;
     for (Operation *Other : OtherOps) {
-      if (InClosure.count(Other)) {
+      bool Nested = false;
+      for (Operation *Op = Other; Op && !Nested; Op = Op->getParentOp())
+        Nested = Consumed.count(Op) != 0;
+      if (Nested) {
         Invalidated.insert(OtherImpl);
         break;
       }

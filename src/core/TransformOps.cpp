@@ -27,6 +27,8 @@
 #include "pass/Pass.h"
 #include "support/STLExtras.h"
 
+#include <unordered_map>
+
 using namespace tdl;
 
 using DSF = DiagnosedSilenceableFailure;
@@ -79,14 +81,24 @@ std::string tdl::unknownPatternSetMessage(std::string_view Name) {
 /// Computes, for each payload op, the indices of other payload ops that are
 /// its proper ancestors. Transform implementations that erase a payload op
 /// use this to skip ops nested inside already-transformed ones (their
-/// pointers dangle once the ancestor is rewritten).
+/// pointers dangle once the ancestor is rewritten). One walk up each op's
+/// parent chain, so the cost is O(payload size x nesting depth); call it
+/// before any payload op is transformed.
 static std::vector<std::vector<size_t>>
 computePayloadAncestors(const std::vector<Operation *> &Payload) {
-  std::vector<std::vector<size_t>> Ancestors(Payload.size());
+  std::unordered_multimap<const Operation *, size_t> IndexOf;
+  IndexOf.reserve(Payload.size());
   for (size_t I = 0; I < Payload.size(); ++I)
-    for (size_t J = 0; J < Payload.size(); ++J)
-      if (I != J && Payload[J]->isProperAncestorOf(Payload[I]))
-        Ancestors[I].push_back(J);
+    IndexOf.emplace(Payload[I], I);
+  std::vector<std::vector<size_t>> Ancestors(Payload.size());
+  for (size_t I = 0; I < Payload.size(); ++I) {
+    for (Operation *Op = Payload[I]->getParentOp(); Op;
+         Op = Op->getParentOp()) {
+      auto [Begin, End] = IndexOf.equal_range(Op);
+      for (auto It = Begin; It != End; ++It)
+        Ancestors[I].push_back(It->second);
+    }
+  }
   return Ancestors;
 }
 
@@ -137,8 +149,10 @@ static void bindResult(TransformInterpreter &Interp, Operation *Op,
 /// auto-generated per-contract ops): applies the registered pass to each
 /// payload op of the consumed handle — through the dynamic contract checker
 /// when --check-conditions is active and the pass has a contract — and
-/// rebinds the surviving payload to result 0. An unknown pass name is a
-/// definite failure carrying the name, not a generic "pass failed".
+/// rebinds the surviving payload to result 0. The op's `anchor` attribute
+/// (written by buildTransformScriptFromPipeline) picks the ops the pass runs
+/// on exactly as the pass manager would. An unknown pass name is a definite
+/// failure carrying the name, not a generic "pass failed".
 static DSF applyContractedPassToPayload(Operation *Op,
                                         TransformInterpreter &Interp,
                                         const std::string &PassName,
@@ -148,18 +162,19 @@ static DSF applyContractedPassToPayload(Operation *Op,
                          "': no such pass is registered");
   const LoweringContract *Contract =
       ContractRegistry::instance().lookup(PassName);
+  std::string_view Anchor = Op->getStringAttr("anchor");
   std::vector<Operation *> Payload =
       Interp.getState().getPayloadOps(Op->getOperand(0));
   for (Operation *Target : Payload) {
     if (Interp.getOptions().CheckConditions && Contract && Options.empty()) {
       FailureOr<std::string> CheckResult =
-          runPassWithDynamicContractCheck(PassName, *Contract, Target);
+          runPassWithDynamicContractCheck(PassName, *Contract, Target, Anchor);
       if (failed(CheckResult))
         return DSF::definite("pass '" + PassName + "' failed on payload op");
       if (!CheckResult->empty())
         return DSF::definite("dynamic contract violation in '" + PassName +
                              "': " + *CheckResult);
-    } else if (failed(runRegisteredPass(PassName, Target, Options))) {
+    } else if (failed(runRegisteredPass(PassName, Target, Options, Anchor))) {
       return DSF::definite("pass '" + PassName + "' failed on payload op");
     }
   }

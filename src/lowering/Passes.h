@@ -69,9 +69,12 @@ LogicalResult convertScfToCf(Operation *Func);
 /// operands of mixed sign; convert-arith-to-llvm runs this first.
 LogicalResult expandFloorCeilDivOps(Operation *Root);
 
-/// Runs the named registered pass on \p Target directly (no pass manager).
+/// Runs the named registered pass on \p Target directly (no pass manager),
+/// on the ops the pass manager would pick for it: \p Anchor is the pipeline
+/// anchor the pass is nested under ("" = the pass's registered anchor).
 LogicalResult runRegisteredPass(std::string_view Name, Operation *Target,
-                                std::string_view Options = "");
+                                std::string_view Options = "",
+                                std::string_view Anchor = "");
 
 } // namespace tdl
 

@@ -33,18 +33,7 @@ LogicalResult PassManager::run(Operation *Root) {
   for (auto &P : Passes) {
     auto Start = std::chrono::steady_clock::now();
 
-    // Collect anchor targets first; passes may mutate the IR.
-    std::vector<Operation *> Targets;
-    const std::string &Anchor = P->getAnchorOpName();
-    if (Anchor.empty() || Anchor == Root->getName()) {
-      Targets.push_back(Root);
-    } else {
-      Root->walk([&](Operation *Op) {
-        if (Op->getName() == Anchor)
-          Targets.push_back(Op);
-      });
-    }
-    for (Operation *Target : Targets)
+    for (Operation *Target : collectAnchorTargets(Root, P->getAnchorOpName()))
       if (failed(P->run(Target)))
         return Target->emitError()
                << "pass '" << P->getName() << "' failed";
@@ -220,15 +209,33 @@ tdl::buildPassManager(PassManager &PM,
       return failure();
     std::unique_ptr<Pass> P = Reg->Factory();
     P->setOptions(Element.Options);
-    // The pipeline anchor overrides the registered default when nested.
-    if (!Element.Anchor.empty() && P->getAnchorOpName() != Element.Anchor) {
+    std::string Anchor(resolvePassAnchor(*P, Element.Anchor));
+    if (Anchor != P->getAnchorOpName()) {
       // Wrap: run the pass on each op matching the pipeline anchor.
       std::shared_ptr<Pass> Shared = std::move(P);
       P = std::make_unique<FnPass>(
-          Shared->getName(), Element.Anchor,
+          Shared->getName(), std::move(Anchor),
           [Shared](Operation *Target, Pass &) { return Shared->run(Target); });
     }
     PM.addPass(std::move(P));
   }
   return success();
+}
+
+std::string_view tdl::resolvePassAnchor(const Pass &P,
+                                        std::string_view PipelineAnchor) {
+  return PipelineAnchor.empty() ? std::string_view(P.getAnchorOpName())
+                                : PipelineAnchor;
+}
+
+std::vector<Operation *> tdl::collectAnchorTargets(Operation *Root,
+                                                   std::string_view Anchor) {
+  if (Anchor.empty() || Anchor == Root->getName())
+    return {Root};
+  std::vector<Operation *> Targets;
+  Root->walk([&](Operation *Op) {
+    if (Op->getName() == Anchor)
+      Targets.push_back(Op);
+  });
+  return Targets;
 }

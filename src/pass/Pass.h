@@ -151,6 +151,19 @@ parsePassPipeline(Context &Ctx, std::string_view Pipeline);
 LogicalResult buildPassManager(PassManager &PM,
                                const std::vector<PipelineElement> &Elements);
 
+/// The op name \p P runs on: \p PipelineAnchor when the pipeline nests the
+/// pass under one, else the pass's registered anchor. The pass manager and
+/// `transform.apply_registered_pass` both resolve anchors here, so the two
+/// arms of a pipeline-as-script run (Case Study 1) cannot drift apart.
+std::string_view resolvePassAnchor(const Pass &P,
+                                   std::string_view PipelineAnchor);
+
+/// The ops a pass anchored on \p Anchor runs on under \p Root: \p Root
+/// itself when \p Anchor is empty or names it, else every nested op named
+/// \p Anchor. Collected before any run, since passes may mutate the IR.
+std::vector<Operation *> collectAnchorTargets(Operation *Root,
+                                              std::string_view Anchor);
+
 } // namespace tdl
 
 #endif // TDL_PASS_PASS_H

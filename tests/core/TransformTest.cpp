@@ -11,8 +11,10 @@
 #include "ir/Verifier.h"
 #include "loops/LoopUtils.h"
 #include "lowering/Passes.h"
+#include "pass/Pass.h"
 
 #include <gtest/gtest.h>
+#include <memory>
 
 using namespace tdl;
 
@@ -78,6 +80,106 @@ protected:
 
   Context Ctx;
 };
+
+/// Drives TransformState::consume directly over the Fig. 1b payload, whose
+/// func body holds the loop-bound constants beside the outer loop and whose
+/// memref.load sits three levels below the func (outer loop, inner loop).
+class InvalidationTest : public TransformTest {
+protected:
+  InvalidationTest() : Payload(makeFig1Payload()) {
+    // The block arguments serve as distinct handle values; the sequence
+    // never runs.
+    Handles = parseSourceString(Ctx, R"("transform.named_sequence"() ({
+      ^bb0(%h0: !transform.any_op, %h1: !transform.any_op,
+           %h2: !transform.any_op):
+        "transform.yield"() : () -> ()
+      }) {sym_name = "handles"} : () -> ()
+    )");
+    Func = findFirst("func.func");
+    Outer = findFirst("scf.for");
+    Load = findFirst("memref.load");
+    Bound = findFirst("arith.constant");
+  }
+
+  /// The first payload op named \p Name in pre-order.
+  Operation *findFirst(std::string_view Name) {
+    Operation *Found = nullptr;
+    Payload->walkPre([&](Operation *Op) {
+      if (Op->getName() != Name)
+        return WalkResult::Advance;
+      Found = Op;
+      return WalkResult::Interrupt;
+    });
+    return Found;
+  }
+
+  Value handle(unsigned Idx) {
+    return Handles->getRegion(0).front().getArgument(Idx);
+  }
+
+  OwningOpRef Payload;
+  OwningOpRef Handles;
+  Operation *Func = nullptr, *Outer = nullptr, *Load = nullptr,
+            *Bound = nullptr;
+};
+
+TEST_F(InvalidationTest, SameOpIsInvalidated) {
+  TransformState State(Payload.get());
+  State.setPayload(handle(0), {Outer});
+  State.setPayload(handle(1), {Outer});
+  State.consume(handle(0));
+  EXPECT_TRUE(State.isInvalidated(handle(0)));
+  EXPECT_TRUE(State.isInvalidated(handle(1)));
+}
+
+TEST_F(InvalidationTest, OpNestedThreeLevelsDeepIsInvalidated) {
+  ASSERT_EQ(Load->getParentOp()->getParentOp()->getParentOp(), Func);
+  TransformState State(Payload.get());
+  State.setPayload(handle(0), {Func});
+  State.setPayload(handle(1), {Load});
+  State.consume(handle(0));
+  EXPECT_TRUE(State.isInvalidated(handle(1)));
+}
+
+TEST_F(InvalidationTest, SiblingSubtreeAndAncestorStayValid) {
+  ASSERT_EQ(Bound->getParentOp(), Func);
+  TransformState State(Payload.get());
+  State.setPayload(handle(0), {Outer});
+  State.setPayload(handle(1), {Bound});
+  State.setPayload(handle(2), {Func});
+  State.consume(handle(0));
+  EXPECT_TRUE(State.isInvalidated(handle(0)));
+  EXPECT_FALSE(State.isInvalidated(handle(1)));
+  EXPECT_FALSE(State.isInvalidated(handle(2)));
+}
+
+TEST_F(InvalidationTest, OneNestedOpAmongUnrelatedOnesInvalidates) {
+  TransformState State(Payload.get());
+  State.setPayload(handle(0), {Outer});
+  State.setPayload(handle(1), {Bound, Load});
+  State.consume(handle(0));
+  EXPECT_TRUE(State.isInvalidated(handle(1)));
+}
+
+TEST_F(InvalidationTest, ParamsAreUntouched) {
+  TransformState State(Payload.get());
+  State.setPayload(handle(0), {Func});
+  std::vector<Attribute> Params = {IntegerAttr::getIndex(Ctx, 8)};
+  State.setParams(handle(1), Params);
+  State.consume(handle(0));
+  EXPECT_FALSE(State.isInvalidated(handle(1)));
+  EXPECT_EQ(State.getParams(handle(1)), Params);
+}
+
+TEST_F(InvalidationTest, ConsumingRootWithNoOtherLiveHandleKeepsTable) {
+  TransformState State(Payload.get());
+  State.setPayload(handle(0), {Payload.get()});
+  State.consume(handle(0));
+  EXPECT_TRUE(State.isInvalidated(handle(0)));
+  EXPECT_EQ(State.getNumHandles(), 1u);
+  EXPECT_EQ(State.getPayloadOps(handle(0)),
+            std::vector<Operation *>{Payload.get()});
+}
 
 TEST_F(TransformTest, MatchOpBindsHandles) {
   OwningOpRef Payload = makeFig1Payload();
@@ -401,6 +503,51 @@ TEST_F(TransformTest, PipelineToScriptConversion) {
   OwningOpRef Payload = makeFig1Payload();
   EXPECT_TRUE(succeeded(applyTransforms(Payload.get(), Script.get())));
   EXPECT_EQ(countOps(Payload.get(), "scf.for"), 0);
+}
+
+TEST_F(TransformTest, ScriptRunsPassUnderPipelineAnchorLikePassManager) {
+  registerAllPasses();
+  // Registered without an anchor: only the pipeline nesting says it runs
+  // once per function.
+  auto Recorded = std::make_shared<std::vector<std::string>>();
+  PassRegistry::instance().registerFnPass(
+      "test-record-targets", "Records the ops it runs on", "",
+      [Recorded](Operation *Target, Pass &) {
+        Recorded->push_back(std::string(Target->getName()) + " @" +
+                            std::string(Target->getStringAttr("sym_name")));
+        return success();
+      });
+  const char *Pipeline = "builtin.module(func.func(test-record-targets))";
+  auto MakePayload = [&] {
+    return parseSourceString(Ctx, R"(
+      "builtin.module"() ({
+        "func.func"() ({
+          "func.return"() : () -> ()
+        }) {sym_name = "a", function_type = () -> ()} : () -> ()
+        "func.func"() ({
+          "func.return"() : () -> ()
+        }) {sym_name = "b", function_type = () -> ()} : () -> ()
+      }) : () -> ()
+    )");
+  };
+
+  OwningOpRef ViaPassManager = MakePayload();
+  PassManager PM(Ctx);
+  auto Elements = parsePassPipeline(Ctx, Pipeline);
+  ASSERT_TRUE(succeeded(Elements));
+  ASSERT_TRUE(succeeded(buildPassManager(PM, *Elements)));
+  ASSERT_TRUE(succeeded(PM.run(ViaPassManager.get())));
+  std::vector<std::string> PassManagerTargets = *Recorded;
+  Recorded->clear();
+
+  OwningOpRef ViaScript = MakePayload();
+  OwningOpRef Script = buildTransformScriptFromPipeline(Ctx, Pipeline);
+  ASSERT_TRUE(Script);
+  ASSERT_TRUE(succeeded(applyTransforms(ViaScript.get(), Script.get())));
+
+  EXPECT_EQ(PassManagerTargets,
+            (std::vector<std::string>{"func.func @a", "func.func @b"}));
+  EXPECT_EQ(*Recorded, PassManagerTargets);
 }
 
 TEST_F(TransformTest, UnregisteredTransformOpIsDefiniteError) {
