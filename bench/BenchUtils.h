@@ -114,9 +114,9 @@ public:
     std::ofstream Out(Path, std::ios::trunc);
     if (!Out)
       return;
-    Out << "{\n  \"bench\": \"" << Name << "\"";
+    Out << "{\n  \"bench\": " << telemetry::jsonQuoted(Name);
     for (const auto &[Key, Value] : Metrics)
-      Out << ",\n  \"" << Key << "\": " << Value;
+      Out << ",\n  " << telemetry::jsonQuoted(Key) << ": " << Value;
     Out << "\n}\n";
   }
 

@@ -8,15 +8,18 @@
 /// Ablation microbenchmarks (google-benchmark) of the interpreter's layers:
 /// per-transform-op dispatch cost, handle matching over growing payloads,
 /// consume-time invalidation over growing payloads with and without live
-/// handles, and macro (include) execution vs. pre-inlined scripts.
+/// handles, the cost of one foreach_match matcher invocation, and macro
+/// (include) execution vs. pre-inlined scripts.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Analysis.h"
+#include "core/MatcherEngine.h"
 #include "core/Transform.h"
 #include "dialect/Dialects.h"
 #include "exec/Workloads.h"
 #include "ir/Parser.h"
+#include "support/Telemetry.h"
 
 #include <benchmark/benchmark.h>
 #include <chrono>
@@ -121,6 +124,94 @@ void BM_InvalidationTracking(benchmark::State &State) {
 BENCHMARK(BM_InvalidationTracking)
     ->ArgsProduct({{126, 1182, 4134}, {0, 16}})
     ->UseManualTime();
+
+/// Matcher invocation cost: the match phase of range(0) (matcher) pairs over
+/// 200 functions, each a two-deep loop nest with one load, addf, mulf and
+/// store. The matchers start with match.operands, so no name prefilter
+/// applies and every op enters the interpreter for each pair until one
+/// claims it. Only the walk is timed; `ns_per_invocation` is its time
+/// divided by the matcher invocations it made.
+void BM_MatcherInvocation(benchmark::State &State) {
+  Context &Ctx = Fixture::get().Ctx;
+  const char *OpNames[] = {"scf.for", "memref.load", "arith.addf",
+                           "arith.mulf", "memref.store"};
+  int64_t NumPairs = State.range(0);
+  std::string Payload = "\"builtin.module\"() ({\n";
+  for (int F = 0; F < 200; ++F)
+    Payload += R"(  "func.func"() ({
+  ^bb0(%m: memref<16x8xf64>):
+    %lb = "arith.constant"() {value = 0 : index} : () -> (index)
+    %ua = "arith.constant"() {value = 16 : index} : () -> (index)
+    %ub = "arith.constant"() {value = 8 : index} : () -> (index)
+    %one = "arith.constant"() {value = 1 : index} : () -> (index)
+    "scf.for"(%lb, %ua, %one) ({
+    ^outer(%i: index):
+      "scf.for"(%lb, %ub, %one) ({
+      ^inner(%j: index):
+        %v = "memref.load"(%m, %i, %j)
+          : (memref<16x8xf64>, index, index) -> (f64)
+        %w = "arith.addf"(%v, %v) : (f64, f64) -> (f64)
+        %x = "arith.mulf"(%w, %v) : (f64, f64) -> (f64)
+        "memref.store"(%x, %m, %i, %j)
+          : (f64, memref<16x8xf64>, index, index) -> ()
+        "scf.yield"() : () -> ()
+      }) : (index, index, index) -> ()
+      "scf.yield"() : () -> ()
+    }) : (index, index, index) -> ()
+    "func.return"() : () -> ()
+  }) {sym_name = "f)" + std::to_string(F) +
+               R"(", function_type = (memref<16x8xf64>) -> ()} : () -> ()
+)";
+  OwningOpRef PayloadRoot =
+      parseSourceString(Ctx, Payload + "}) : () -> ()\n", "bench-payload");
+  std::string Matchers;
+  for (int64_t P = 0; P < NumPairs; ++P)
+    Matchers += R"(
+  "transform.named_sequence"() ({
+  ^bb0(%op: !transform.any_op):
+    %0 = "transform.match.operands"(%op) {min = 0 : index}
+      : (!transform.any_op) -> (!transform.any_op)
+    %1 = "transform.match.operation_name"(%0) {op_names = [")" +
+                std::string(OpNames[P % 5]) + R"("]}
+      : (!transform.any_op) -> (!transform.any_op)
+    "transform.yield"() : () -> ()
+  }) {sym_name = "is_)" + std::to_string(P) + R"("} : () -> ()
+)";
+  OwningOpRef Script = parseSourceString(
+      Ctx, "\"builtin.module\"() ({" + Matchers + "}) : () -> ()\n",
+      "bench-matchers");
+  telemetry::Counter &Invocations =
+      telemetry::counter("interp.matcher_invocations");
+  int64_t Total = 0;
+  double Seconds = 0;
+  for (auto _ : State) {
+    TransformInterpreter Interp(PayloadRoot.get(), Script.get());
+    MatcherEngine Engine(Interp, Script.get(), "bench");
+    for (int64_t P = 0; P < NumPairs; ++P)
+      (void)Engine.addPair(StringAttr::get(Ctx, "is_" + std::to_string(P)),
+                           Attribute());
+    std::vector<MatcherEngine::Match> Matches;
+    int64_t Before = Invocations.get();
+    auto Start = std::chrono::steady_clock::now();
+    DiagnosedSilenceableFailure Result =
+        Engine.match({PayloadRoot.get()}, /*RestrictRoot=*/false, Matches);
+    auto End = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(Matches.data());
+    Total += Invocations.get() - Before;
+    if (!Result.succeeded())
+      State.SkipWithError("match phase failed");
+    double Walk = std::chrono::duration<double>(End - Start).count();
+    Seconds += Walk;
+    State.SetIterationTime(Walk);
+  }
+  if (Total == 0)
+    return;
+  State.counters["invocations"] =
+      static_cast<double>(Total) / static_cast<double>(State.iterations());
+  State.counters["ns_per_invocation"] = Seconds * 1e9 / Total;
+}
+// Names read BM_MatcherInvocation/<pairs>.
+BENCHMARK(BM_MatcherInvocation)->Arg(1)->Arg(5)->UseManualTime();
 
 /// Macro execution vs. pre-inlined scripts (Section 3.4 simplification).
 void BM_IncludeVsInlined(benchmark::State &State) {

@@ -16,71 +16,91 @@ using namespace tdl;
 // OpSetElement
 //===----------------------------------------------------------------------===//
 
-OpSetElement OpSetElement::parse(std::string_view Text) {
-  OpSetElement Element;
-  if (Text == "cast") {
-    Element.Kind = ElementKind::Cast;
-    Element.Name = "cast";
-    return Element;
-  }
-  if (Text.substr(0, 10) == "interface:") {
-    Element.Kind = ElementKind::Interface;
-    Element.Name = std::string(Text.substr(10));
-    return Element;
-  }
-  if (Text.size() > 2 && Text.substr(Text.size() - 2) == ".*") {
-    Element.Kind = ElementKind::DialectWildcard;
-    Element.Name = std::string(Text.substr(0, Text.size() - 2));
-    return Element;
-  }
+namespace {
+/// An element's kind and fields as views into its spelling: parse() copies
+/// them out, matchesText() matches on them without copying.
+struct ElementView {
+  OpSetElement::ElementKind Kind;
+  std::string_view Name;
+  std::string_view Constraint;
+};
+} // namespace
+
+static ElementView classifyElement(std::string_view Text) {
+  using Kind = OpSetElement::ElementKind;
+  if (Text == "cast")
+    return {Kind::Cast, Text, {}};
+  if (Text.substr(0, 10) == "interface:")
+    return {Kind::Interface, Text.substr(10), {}};
+  if (Text.size() > 2 && Text.substr(Text.size() - 2) == ".*")
+    return {Kind::DialectWildcard, Text.substr(0, Text.size() - 2), {}};
   // "dialect.op.constraint" has two dots; "dialect.op" has one.
   size_t First = Text.find('.');
   size_t Second = First == std::string_view::npos
                       ? std::string_view::npos
                       : Text.find('.', First + 1);
-  if (Second != std::string_view::npos) {
-    Element.Kind = ElementKind::Constrained;
-    Element.Name = std::string(Text.substr(0, Second));
-    Element.Constraint = std::string(Text.substr(Second + 1));
-    return Element;
+  if (Second != std::string_view::npos)
+    return {Kind::Constrained, Text.substr(0, Second), Text.substr(Second + 1)};
+  return {Kind::Exact, Text, {}};
+}
+
+static bool elementMatches(const ElementView &Element,
+                           std::string_view AbstractName, Context *Ctx) {
+  using Kind = OpSetElement::ElementKind;
+  switch (Element.Kind) {
+  case Kind::Cast:
+    return AbstractName == "cast" ||
+           AbstractName == "builtin.unrealized_conversion_cast";
+  case Kind::Exact:
+    return AbstractName == Element.Name;
+  case Kind::Constrained: {
+    // The abstract name of a constrained element is "<name>.<constraint>".
+    size_t Dot = Element.Name.size();
+    return AbstractName.size() == Dot + 1 + Element.Constraint.size() &&
+           AbstractName.substr(0, Dot) == Element.Name &&
+           AbstractName[Dot] == '.' &&
+           AbstractName.substr(Dot + 1) == Element.Constraint;
   }
-  Element.Kind = ElementKind::Exact;
-  Element.Name = std::string(Text);
+  case Kind::DialectWildcard: {
+    if (AbstractName == "cast")
+      return Element.Name == "builtin";
+    auto Dot = AbstractName.find('.');
+    return AbstractName.substr(0, Dot) == Element.Name;
+  }
+  case Kind::Interface: {
+    if (!Ctx)
+      return false;
+    // Strip a constraint suffix if present for registry lookup.
+    const OpInfo *Info = Ctx->lookupOpInfo(AbstractName);
+    if (!Info) {
+      size_t Second = AbstractName.find('.');
+      if (Second != std::string_view::npos)
+        Second = AbstractName.find('.', Second + 1);
+      if (Second != std::string_view::npos)
+        Info = Ctx->lookupOpInfo(AbstractName.substr(0, Second));
+    }
+    return Info && Info->Interfaces.count(std::string(Element.Name));
+  }
+  }
+  return false;
+}
+
+OpSetElement OpSetElement::parse(std::string_view Text) {
+  ElementView View = classifyElement(Text);
+  OpSetElement Element;
+  Element.Kind = View.Kind;
+  Element.Name = std::string(View.Name);
+  Element.Constraint = std::string(View.Constraint);
   return Element;
 }
 
 bool OpSetElement::matches(std::string_view AbstractName, Context *Ctx) const {
-  switch (Kind) {
-  case ElementKind::Cast:
-    return AbstractName == "cast" ||
-           AbstractName == "builtin.unrealized_conversion_cast";
-  case ElementKind::Exact:
-    return AbstractName == Name;
-  case ElementKind::Constrained:
-    return AbstractName == abstractName();
-  case ElementKind::DialectWildcard: {
-    if (AbstractName == "cast")
-      return Name == "builtin";
-    auto Dot = AbstractName.find('.');
-    return AbstractName.substr(0, Dot) == Name;
-  }
-  case ElementKind::Interface: {
-    if (!Ctx)
-      return false;
-    // Strip a constraint suffix if present for registry lookup.
-    std::string Base(AbstractName);
-    const OpInfo *Info = Ctx->lookupOpInfo(Base);
-    if (!Info) {
-      size_t Second = Base.find('.');
-      if (Second != std::string::npos)
-        Second = Base.find('.', Second + 1);
-      if (Second != std::string::npos)
-        Info = Ctx->lookupOpInfo(Base.substr(0, Second));
-    }
-    return Info && Info->Interfaces.count(Name);
-  }
-  }
-  return false;
+  return elementMatches({Kind, Name, Constraint}, AbstractName, Ctx);
+}
+
+bool OpSetElement::matchesText(std::string_view Text,
+                               std::string_view AbstractName, Context *Ctx) {
+  return elementMatches(classifyElement(Text), AbstractName, Ctx);
 }
 
 std::string OpSetElement::abstractName() const {

@@ -63,6 +63,11 @@ struct OpSetElement {
   /// a ".constr"-style suffix). Interface elements resolve through \p Ctx.
   bool matches(std::string_view AbstractName, Context *Ctx = nullptr) const;
 
+  /// `parse(Text).matches(AbstractName, Ctx)` without building the element:
+  /// nothing is copied, so a matcher can test its names on every call.
+  static bool matchesText(std::string_view Text, std::string_view AbstractName,
+                          Context *Ctx = nullptr);
+
   /// The abstract name this element contributes when it appears in a
   /// post-condition.
   std::string abstractName() const;

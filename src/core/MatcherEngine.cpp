@@ -12,6 +12,7 @@
 
 #include <iterator>
 #include <set>
+#include <unordered_set>
 
 using namespace tdl;
 
@@ -393,10 +394,12 @@ DSF MatcherEngine::match(const std::vector<Operation *> &Roots,
                                  Interp.getScriptRoot(), Interp.getOptions());
     // One capture for the whole walk, reset per matcher invocation.
     ThreadDiagnosticCapture Capture;
-    // An op reachable from two roots (nested or duplicate) is offered once.
-    std::set<Operation *> Visited;
+    // An op reachable from two roots (nested or duplicate) is offered once;
+    // the pre-order walk of a single root never visits an op twice.
+    bool MayRevisit = Roots.size() > 1;
+    std::unordered_set<Operation *> Visited;
     auto Offer = [&](Operation *Candidate) -> WalkResult {
-      if (!Visited.insert(Candidate).second)
+      if (MayRevisit && !Visited.insert(Candidate).second)
         return WalkResult::Advance;
       Result = tryCandidate(Scratch, Capture, Candidate, Out, Replay);
       return Result.isDefinite() ? WalkResult::Interrupt : WalkResult::Advance;

@@ -26,9 +26,12 @@
 #include "rewrite/Rewriter.h"
 
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace tdl {
@@ -198,7 +201,14 @@ public:
   const std::vector<Attribute> &getParams(Value Handle) const;
   bool isParam(Value Handle) const;
 
-  void setPayload(Value Handle, std::vector<Operation *> Ops);
+  /// Binds \p Handle to \p Ops, making it an op handle and clearing its
+  /// invalidated mark. Rebinding a handle that already has a slot copies
+  /// into the slot's storage, so a handle rebound once per matcher
+  /// invocation allocates only when its list outgrows the slot; an rvalue
+  /// vector is moved in instead.
+  void setPayload(Value Handle, const std::vector<Operation *> &Ops);
+  void setPayload(Value Handle, std::vector<Operation *> &&Ops);
+  void setPayload(Value Handle, std::initializer_list<Operation *> Ops);
   void setParams(Value Handle, std::vector<Attribute> Params);
 
   /// Marks \p Handle consumed: it and every handle whose payload ops are
@@ -233,10 +243,15 @@ public:
   size_t getNumHandles() const { return HandleMap.size(); }
 
 private:
+  /// The slot \p Handle binds ops into, created on first use; the handle
+  /// stops being a param and is no longer invalidated.
+  std::vector<Operation *> &payloadSlot(Value Handle);
+
   Operation *PayloadRoot;
-  std::map<ValueImpl *, std::vector<Operation *>> HandleMap;
-  std::map<ValueImpl *, std::vector<Attribute>> ParamMap;
-  std::set<ValueImpl *> Invalidated;
+  // Hash-keyed: no user depends on the order of these tables.
+  std::unordered_map<ValueImpl *, std::vector<Operation *>> HandleMap;
+  std::unordered_map<ValueImpl *, std::vector<Attribute>> ParamMap;
+  std::unordered_set<ValueImpl *> Invalidated;
 };
 
 /// Rewrite listener that keeps a TransformState's handles up to date while

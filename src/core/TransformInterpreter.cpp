@@ -77,13 +77,31 @@ bool TransformState::isParam(Value Handle) const {
   return ParamMap.count(Handle.getImpl()) != 0;
 }
 
-void TransformState::setPayload(Value Handle, std::vector<Operation *> Ops) {
-  HandleMap[Handle.getImpl()] = std::move(Ops);
+std::vector<Operation *> &TransformState::payloadSlot(Value Handle) {
   // A value is either an op handle or a param; rebinding switches kind
   // (e.g. foreach_match actions shared between pairs whose matchers yield
   // different kinds for the same block argument).
   ParamMap.erase(Handle.getImpl());
   Invalidated.erase(Handle.getImpl());
+  return HandleMap[Handle.getImpl()];
+}
+
+void TransformState::setPayload(Value Handle,
+                                const std::vector<Operation *> &Ops) {
+  std::vector<Operation *> &Slot = payloadSlot(Handle);
+  // Ops is the slot itself when a handle is rebound to its own ops, and
+  // assign() must not read from its target.
+  if (&Slot != &Ops)
+    Slot.assign(Ops.begin(), Ops.end());
+}
+
+void TransformState::setPayload(Value Handle, std::vector<Operation *> &&Ops) {
+  payloadSlot(Handle) = std::move(Ops);
+}
+
+void TransformState::setPayload(Value Handle,
+                                std::initializer_list<Operation *> Ops) {
+  payloadSlot(Handle).assign(Ops);
 }
 
 void TransformState::setParams(Value Handle, std::vector<Attribute> Params) {

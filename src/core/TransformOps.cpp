@@ -139,9 +139,16 @@ static DSF applyToEachLoop(Operation *Op, TransformInterpreter &Interp,
 }
 
 static void bindResult(TransformInterpreter &Interp, Operation *Op,
-                       unsigned Idx, std::vector<Operation *> Ops) {
+                       unsigned Idx, std::vector<Operation *> &&Ops) {
   if (Idx < Op->getNumResults())
     Interp.getState().setPayload(Op->getResult(Idx), std::move(Ops));
+}
+
+/// Copies \p Ops into the result's slot, reusing its storage on a rebind.
+static void bindResult(TransformInterpreter &Interp, Operation *Op,
+                       unsigned Idx, const std::vector<Operation *> &Ops) {
+  if (Idx < Op->getNumResults())
+    Interp.getState().setPayload(Op->getResult(Idx), Ops);
 }
 
 /// Shared payload path of every pass-backed transform op
@@ -183,11 +190,14 @@ static DSF applyContractedPassToPayload(Operation *Op,
 }
 
 /// Shared skeleton of the matcher predicate ops: every payload op of
-/// operand 0 must satisfy \p Pred (which returns success or a silenceable
-/// failure); on success the payload is forwarded through result 0.
-template <typename Fn>
+/// operand 0 must satisfy \p Holds; on success the payload is forwarded
+/// through result 0. The first op that does not is a silenceable failure
+/// whose text \p Explain builds for that op, outside matcher mode only: a
+/// failing matcher means "not this op", and the matcher engine drops its
+/// message unread.
+template <typename HoldsFn, typename ExplainFn>
 static DSF matchAllPayload(Operation *Op, TransformInterpreter &Interp,
-                           Fn Pred) {
+                           HoldsFn Holds, ExplainFn Explain) {
   if (Op->getNumOperands() < 1)
     return DSF::definite("'" + std::string(Op->getName()) +
                          "' requires a handle operand");
@@ -195,11 +205,10 @@ static DSF matchAllPayload(Operation *Op, TransformInterpreter &Interp,
       Interp.getState().getPayloadOps(Op->getOperand(0));
   if (Payload.empty())
     return DSF::silenceable("no payload ops to match");
-  for (Operation *Target : Payload) {
-    DSF Result = Pred(Target);
-    if (!Result.succeeded())
-      return Result;
-  }
+  for (Operation *Target : Payload)
+    if (!Holds(Target))
+      return DSF::silenceable(Interp.isMatcherMode() ? std::string()
+                                                     : Explain(Target));
   bindResult(Interp, Op, 0, Payload);
   return DSF::success();
 }
@@ -966,22 +975,39 @@ void tdl::registerTransformDialect(Context &Ctx) {
     Def.ResultNestedInOperand = {0};
     Def.MatcherOk = true;
     Def.Apply = [](Operation *Op, TransformInterpreter &Interp) -> DSF {
-      // Elements reuse the Section 3.3 condition language: exact names and
-      // dialect wildcards such as "scf.*".
-      std::vector<OpSetElement> Elements;
-      if (failed(parseTransformOpNameElements(Op, Elements)))
-        return DSF::definite(
-            "match.operation_name: 'op_names' must contain strings");
-      if (Elements.empty())
+      // Entries use the Section 3.3 condition language (exact names and
+      // dialect wildcards such as "scf.*"), tested in place: the same
+      // verdict as parseTransformOpNameElements + OpSetElement::matches,
+      // without building the elements on every call.
+      ArrayAttr Names = Op->getAttrOfType<ArrayAttr>("op_names");
+      StringAttr Single =
+          Names ? StringAttr() : Op->getAttrOfType<StringAttr>("op_name");
+      if (Names)
+        for (Attribute Entry : Names.getValue())
+          if (!Entry.isa<StringAttr>())
+            return DSF::definite(
+                "match.operation_name: 'op_names' must contain strings");
+      if (Names ? Names.size() == 0 : !Single)
         return DSF::definite(
             "match.operation_name requires 'op_names' or 'op_name'");
-      return matchAllPayload(Op, Interp, [&](Operation *Target) -> DSF {
-        for (const OpSetElement &Element : Elements)
-          if (Element.matches(Target->getName(), &Op->getContext()))
-            return DSF::success();
-        return DSF::silenceable("op '" + std::string(Target->getName()) +
-                                "' does not match the expected names");
-      });
+      Context *Ctx = &Op->getContext();
+      return matchAllPayload(
+          Op, Interp,
+          [&](Operation *Target) {
+            if (!Names)
+              return OpSetElement::matchesText(Single.getValue(),
+                                               Target->getName(), Ctx);
+            for (Attribute Entry : Names.getValue())
+              if (OpSetElement::matchesText(
+                      Entry.cast<StringAttr>().getValue(), Target->getName(),
+                      Ctx))
+                return true;
+            return false;
+          },
+          [](Operation *Target) {
+            return "op '" + std::string(Target->getName()) +
+                   "' does not match the expected names";
+          });
     };
     registerTransformOp(Ctx, MatchName, Def);
   }
@@ -998,16 +1024,18 @@ void tdl::registerTransformDialect(Context &Ctx) {
       if (Name.empty())
         return DSF::definite("match.attr requires 'name'");
       Attribute Expected = Op->getAttr("value");
-      return matchAllPayload(Op, Interp, [&](Operation *Target) -> DSF {
-        Attribute Found = Target->getAttr(Name);
-        if (!Found)
-          return DSF::silenceable("op has no attribute '" +
-                                  std::string(Name) + "'");
-        if (Expected && Found != Expected)
-          return DSF::silenceable("attribute '" + std::string(Name) +
-                                  "' has a different value");
-        return DSF::success();
-      });
+      return matchAllPayload(
+          Op, Interp,
+          [&](Operation *Target) {
+            Attribute Found = Target->getAttr(Name);
+            return Found && (!Expected || Found == Expected);
+          },
+          [&](Operation *Target) {
+            if (!Target->getAttr(Name))
+              return "op has no attribute '" + std::string(Name) + "'";
+            return "attribute '" + std::string(Name) +
+                   "' has a different value";
+          });
     };
     registerTransformOp(Ctx, MatchAttr, Def);
   }
@@ -1026,18 +1054,23 @@ void tdl::registerTransformDialect(Context &Ctx) {
       if (!Count && !Min && !Max)
         return DSF::definite(
             "match.operands requires 'count', 'min', or 'max'");
-      return matchAllPayload(Op, Interp, [&](Operation *Target) -> DSF {
-        int64_t N = Target->getNumOperands();
-        if (Count && N != Count.getValue())
-          return DSF::silenceable("op has " + std::to_string(N) +
-                                  " operands, expected " +
-                                  std::to_string(Count.getValue()));
-        if (Min && N < Min.getValue())
-          return DSF::silenceable("op has fewer operands than expected");
-        if (Max && N > Max.getValue())
-          return DSF::silenceable("op has more operands than expected");
-        return DSF::success();
-      });
+      return matchAllPayload(
+          Op, Interp,
+          [&](Operation *Target) {
+            int64_t N = Target->getNumOperands();
+            return (!Count || N == Count.getValue()) &&
+                   (!Min || N >= Min.getValue()) &&
+                   (!Max || N <= Max.getValue());
+          },
+          [&](Operation *Target) -> std::string {
+            int64_t N = Target->getNumOperands();
+            if (Count && N != Count.getValue())
+              return "op has " + std::to_string(N) + " operands, expected " +
+                     std::to_string(Count.getValue());
+            if (Min && N < Min.getValue())
+              return "op has fewer operands than expected";
+            return "op has more operands than expected";
+          });
     };
     registerTransformOp(Ctx, MatchOperands, Def);
   }
@@ -1053,24 +1086,34 @@ void tdl::registerTransformDialect(Context &Ctx) {
       IntegerAttr Rank = Op->getAttrOfType<IntegerAttr>("rank");
       if (!Rank)
         return DSF::definite("match.structured.rank requires 'rank'");
-      return matchAllPayload(Op, Interp, [&](Operation *Target) -> DSF {
-        // The structured rank of an op: the maximum rank over its shaped
-        // (memref/tensor) operand and result types.
+      // The structured rank of an op: the maximum rank over its shaped
+      // (memref/tensor) operand and result types; -1 without any. Indexed,
+      // since getOperands()/getResults() return fresh vectors.
+      auto StructuredRank = [](Operation *Target) {
         int64_t MaxRank = -1;
-        for (Value Operand : Target->getOperands())
-          if (ShapedType Shaped = Operand.getType().dyn_cast<ShapedType>())
+        auto Fold = [&](Type Ty) {
+          if (ShapedType Shaped = Ty.dyn_cast<ShapedType>())
             MaxRank = std::max(MaxRank, Shaped.getRank());
-        for (Value Result : Target->getResults())
-          if (ShapedType Shaped = Result.getType().dyn_cast<ShapedType>())
-            MaxRank = std::max(MaxRank, Shaped.getRank());
-        if (MaxRank < 0)
-          return DSF::silenceable("op has no shaped operand or result");
-        if (MaxRank != Rank.getValue())
-          return DSF::silenceable(
-              "op has structured rank " + std::to_string(MaxRank) +
-              ", expected " + std::to_string(Rank.getValue()));
-        return DSF::success();
-      });
+        };
+        for (unsigned I = 0; I < Target->getNumOperands(); ++I)
+          Fold(Target->getOperand(I).getType());
+        for (unsigned I = 0; I < Target->getNumResults(); ++I)
+          Fold(Target->getResult(I).getType());
+        return MaxRank;
+      };
+      return matchAllPayload(
+          Op, Interp,
+          [&](Operation *Target) {
+            int64_t MaxRank = StructuredRank(Target);
+            return MaxRank >= 0 && MaxRank == Rank.getValue();
+          },
+          [&](Operation *Target) -> std::string {
+            int64_t MaxRank = StructuredRank(Target);
+            if (MaxRank < 0)
+              return "op has no shaped operand or result";
+            return "op has structured rank " + std::to_string(MaxRank) +
+                   ", expected " + std::to_string(Rank.getValue());
+          });
     };
     registerTransformOp(Ctx, MatchRank, Def);
   }

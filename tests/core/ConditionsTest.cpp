@@ -108,6 +108,36 @@ TEST_F(ConditionsTest, OpSetElementParsing) {
   EXPECT_FALSE(Iface.matches("memref.dealloc", &Ctx));
 }
 
+TEST_F(ConditionsTest, MatchesTextAgreesWithParsedElement) {
+  const char *Spellings[] = {
+      "scf.*",     "cf.br",  "memref.subview.constr", "cast",
+      "builtin.*", "memref", "interface:MemoryAlloc", "memref.sub.",
+      ""};
+  const char *Names[] = {"scf.for",
+                         "cf.br",
+                         "cf.cond_br",
+                         "memref.subview",
+                         "memref.subview.constr",
+                         "memref.subview.constrx",
+                         "memref.subviewxconstr",
+                         "memref.sub.",
+                         "cast",
+                         "builtin.unrealized_conversion_cast",
+                         "memref.alloc",
+                         "memref.alloc.constr",
+                         "memref",
+                         ""};
+  for (const char *Text : Spellings)
+    for (const char *Name : Names)
+      EXPECT_EQ(OpSetElement::matchesText(Text, Name, &Ctx),
+                OpSetElement::parse(Text).matches(Name, &Ctx))
+          << "'" << Text << "' against '" << Name << "'";
+  EXPECT_TRUE(OpSetElement::matchesText("memref.subview.constr",
+                                        "memref.subview.constr"));
+  EXPECT_FALSE(OpSetElement::matchesText("memref.subview.constr",
+                                         "memref.subviewxconstr"));
+}
+
 TEST_F(ConditionsTest, AbstractSetFromPayload) {
   OwningOpRef Module = makeChunkTo42(/*DynamicOffset=*/false);
   AbstractOpSet Set = AbstractOpSet::fromPayload(Module.get());

@@ -166,6 +166,177 @@ TEST_F(ForeachMatchTest, MatchAttrValueMismatchFails) {
   EXPECT_TRUE(failed(applyTransforms(Payload.get(), Script.get())));
 }
 
+TEST_F(ForeachMatchTest, PredicateFailureMessagesAreExact) {
+  // Each case: the payload ops to test (a match.op name), the predicate
+  // applied to them, and the full text of the top-level warning. The first
+  // payload op fails, so the message names it.
+  struct Case {
+    const char *Target;
+    const char *Predicate;
+    const char *Message;
+  };
+  const Case Cases[] = {
+      {"scf.for",
+       R"("transform.match.operation_name"(%t) {op_names = ["memref.*"]})",
+       "op 'scf.for' does not match the expected names"},
+      {"scf.for",
+       R"("transform.match.operation_name"(%t) {op_name = "scf.if"})",
+       "op 'scf.for' does not match the expected names"},
+      {"scf.for", R"("transform.match.operands"(%t) {count = 2 : index})",
+       "op has 3 operands, expected 2"},
+      {"memref.load", R"("transform.match.operands"(%t) {min = 4 : index})",
+       "op has fewer operands than expected"},
+      {"scf.for", R"("transform.match.operands"(%t) {max = 2 : index})",
+       "op has more operands than expected"},
+      {"scf.for", R"("transform.match.attr"(%t) {name = "sym_name"})",
+       "op has no attribute 'sym_name'"},
+      {"func.func",
+       R"("transform.match.attr"(%t) {name = "sym_name", value = "g"})",
+       "attribute 'sym_name' has a different value"},
+      {"memref.load",
+       R"("transform.match.structured.rank"(%t) {rank = 3 : index})",
+       "op has structured rank 2, expected 3"},
+      {"scf.for", R"("transform.match.structured.rank"(%t) {rank = 1 : index})",
+       "op has no shaped operand or result"},
+  };
+  TransformOptions Options;
+  Options.FailOnSilenceable = false;
+  for (const Case &C : Cases) {
+    OwningOpRef Payload = makePayload();
+    OwningOpRef Script = makeScriptModule(R"(
+      "transform.named_sequence"() ({
+      ^bb0(%root: !transform.any_op):
+        %t = "transform.match.op"(%root) {op_name = ")" +
+                                          std::string(C.Target) + R"("}
+          : (!transform.any_op) -> (!transform.any_op)
+        %r = )" + std::string(C.Predicate) +
+                                          R"(
+          : (!transform.any_op) -> (!transform.any_op)
+        "transform.yield"() : () -> ()
+      }) {sym_name = "__transform_main"} : () -> ()
+    )");
+    ASSERT_TRUE(Script) << C.Predicate;
+    ScopedDiagnosticCapture Capture(Ctx.getDiagEngine());
+    EXPECT_TRUE(
+        succeeded(applyTransforms(Payload.get(), Script.get(), Options)));
+    ASSERT_EQ(Capture.getDiagnostics().size(), 1u) << C.Predicate;
+    const Diagnostic &Warning = Capture.getDiagnostics().front();
+    EXPECT_EQ(Warning.Severity, DiagnosticSeverity::Warning);
+    EXPECT_EQ(Warning.Message,
+              "transform script reported a silenceable failure: " +
+                  std::string(C.Message));
+  }
+}
+
+TEST_F(ForeachMatchTest, NonStringOpNameIsDefiniteEvenAfterAMatch) {
+  // "scf.for" matches the loops, but the malformed entry after it is still
+  // a definite error, at the top level and inside a matcher alike.
+  OwningOpRef Payload = makePayload();
+  OwningOpRef TopLevel = makeScriptModule(R"(
+    "transform.named_sequence"() ({
+    ^bb0(%root: !transform.any_op):
+      %loops = "transform.match.op"(%root) {op_name = "scf.for"}
+        : (!transform.any_op) -> (!transform.any_op)
+      %r = "transform.match.operation_name"(%loops)
+        {op_names = ["scf.for", 3 : index]}
+        : (!transform.any_op) -> (!transform.any_op)
+      "transform.yield"() : () -> ()
+    }) {sym_name = "__transform_main"} : () -> ()
+  )");
+  OwningOpRef InMatcher = makeScriptModule(R"(
+    "transform.named_sequence"() ({
+    ^bb0(%op: !transform.any_op):
+      %0 = "transform.match.operation_name"(%op)
+        {op_names = ["builtin.module", 3 : index]}
+        : (!transform.any_op) -> (!transform.any_op)
+      "transform.yield"() : () -> ()
+    }) {sym_name = "bad_names"} : () -> ()
+    "transform.named_sequence"() ({
+    ^bb0(%op: !transform.any_op):
+      "transform.annotate"(%op) {name = "hit"} : (!transform.any_op) -> ()
+      "transform.yield"() : () -> ()
+    }) {sym_name = "mark"} : () -> ()
+    "transform.named_sequence"() ({
+    ^bb0(%root: !transform.any_op):
+      %u = "transform.foreach_match"(%root)
+        {matchers = [@bad_names], actions = [@mark]}
+        : (!transform.any_op) -> (!transform.any_op)
+      "transform.yield"() : () -> ()
+    }) {sym_name = "__transform_main"} : () -> ()
+  )");
+  ASSERT_TRUE(TopLevel);
+  ASSERT_TRUE(InMatcher);
+  TransformOptions Options;
+  Options.FailOnSilenceable = false;
+  for (Operation *Script : {TopLevel.get(), InMatcher.get()}) {
+    ScopedDiagnosticCapture Capture(Ctx.getDiagEngine());
+    EXPECT_TRUE(failed(applyTransforms(Payload.get(), Script, Options)));
+    EXPECT_TRUE(
+        Capture.contains("'op_names' must contain strings"));
+  }
+  EXPECT_EQ(countAttr(Payload.get(), "hit"), 0);
+}
+
+TEST_F(ForeachMatchTest, PredicatesInMatchersAnnotateTheSameOps) {
+  // The predicates of PredicateFailureMessagesAreExact as matchers, first
+  // match wins. Their failures inside a matcher carry no message; which ops
+  // they claim must not change.
+  OwningOpRef Payload = makePayload();
+  std::string Sequences;
+  auto Pair = [&](const char *Tag, const char *Predicates) {
+    Sequences += R"(
+    "transform.named_sequence"() ({
+    ^bb0(%t: !transform.any_op):
+      )" + std::string(Predicates) +
+                 R"(
+      "transform.yield"() : () -> ()
+    }) {sym_name = "is_)" + Tag + R"("} : () -> ()
+    "transform.named_sequence"() ({
+    ^bb0(%op: !transform.any_op):
+      "transform.annotate"(%op) {name = ")" + Tag + R"("}
+        : (!transform.any_op) -> ()
+      "transform.yield"() : () -> ()
+    }) {sym_name = "mark_)" + Tag + R"("} : () -> ()
+    )";
+  };
+  Pair("named", R"(%0 = "transform.match.attr"(%t) {name = "sym_name"}
+        : (!transform.any_op) -> (!transform.any_op))");
+  Pair("rank2", R"(%0 = "transform.match.structured.rank"(%t) {rank = 2 : index}
+        : (!transform.any_op) -> (!transform.any_op))");
+  Pair("ternary", R"(%0 = "transform.match.operands"(%t) {count = 3 : index}
+        : (!transform.any_op) -> (!transform.any_op))");
+  Pair("binary_arith", R"(%0 = "transform.match.operands"(%t)
+        {min = 2 : index, max = 2 : index}
+        : (!transform.any_op) -> (!transform.any_op)
+      %1 = "transform.match.operation_name"(%0)
+        {op_names = ["scf.if", "arith.*"]}
+        : (!transform.any_op) -> (!transform.any_op))");
+  OwningOpRef Script = makeScriptModule(Sequences + R"(
+    "transform.named_sequence"() ({
+    ^bb0(%root: !transform.any_op):
+      %u = "transform.foreach_match"(%root)
+        {matchers = [@is_named, @is_rank2, @is_ternary, @is_binary_arith],
+         actions = [@mark_named, @mark_rank2, @mark_ternary,
+                    @mark_binary_arith]}
+        : (!transform.any_op) -> (!transform.any_op)
+      "transform.yield"() : () -> ()
+    }) {sym_name = "__transform_main"} : () -> ()
+  )");
+  ASSERT_TRUE(Script);
+  ScopedDiagnosticCapture Capture(Ctx.getDiagEngine());
+  EXPECT_TRUE(succeeded(applyTransforms(Payload.get(), Script.get())));
+  EXPECT_TRUE(Capture.getDiagnostics().empty()) << Capture.allMessages();
+  std::string Annotated;
+  Payload->walk([&](Operation *Op) {
+    for (const char *Tag : {"named", "rank2", "ternary", "binary_arith"})
+      if (Op->hasAttr(Tag))
+        Annotated += std::string(Op->getName()) + ":" + Tag + " ";
+  });
+  EXPECT_EQ(Annotated, "memref.load:rank2 memref.load:rank2 "
+                       "arith.addf:binary_arith memref.store:rank2 "
+                       "scf.for:ternary scf.for:ternary func.func:named ");
+}
+
 //===----------------------------------------------------------------------===//
 // foreach_match dispatch
 //===----------------------------------------------------------------------===//

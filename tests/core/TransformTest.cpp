@@ -181,6 +181,63 @@ TEST_F(InvalidationTest, ConsumingRootWithNoOtherLiveHandleKeepsTable) {
             std::vector<Operation *>{Payload.get()});
 }
 
+TEST_F(InvalidationTest, RebindingConsumedHandleClearsInvalidatedMark) {
+  TransformState State(Payload.get());
+  State.setPayload(handle(0), {Outer});
+  State.consume(handle(0));
+  ASSERT_TRUE(State.isInvalidated(handle(0)));
+  // Rebinding reuses the handle's slot; the mark must not survive it.
+  State.setPayload(handle(0), {Load});
+  EXPECT_FALSE(State.isInvalidated(handle(0)));
+  EXPECT_EQ(State.getPayloadOps(handle(0)), std::vector<Operation *>{Load});
+  State.consume(handle(0));
+  std::vector<Operation *> Rebound = {Bound};
+  State.setPayload(handle(0), Rebound);
+  EXPECT_FALSE(State.isInvalidated(handle(0)));
+  EXPECT_EQ(State.getPayloadOps(handle(0)), Rebound);
+}
+
+TEST_F(InvalidationTest, RebindingSwitchesHandleAndParamBothWays) {
+  TransformState State(Payload.get());
+  std::vector<Attribute> Params = {IntegerAttr::getIndex(Ctx, 8)};
+  State.setPayload(handle(0), {Outer, Load});
+  State.setParams(handle(0), Params);
+  EXPECT_TRUE(State.isParam(handle(0)));
+  EXPECT_TRUE(State.getPayloadOps(handle(0)).empty());
+  EXPECT_EQ(State.getParams(handle(0)), Params);
+  std::vector<Operation *> Ops = {Func};
+  State.setPayload(handle(0), Ops);
+  EXPECT_FALSE(State.isParam(handle(0)));
+  EXPECT_TRUE(State.getParams(handle(0)).empty());
+  EXPECT_EQ(State.getPayloadOps(handle(0)), Ops);
+  // Back to a param and to ops once more, through the other overloads.
+  State.setParams(handle(0), {IntegerAttr::getIndex(Ctx, 4)});
+  EXPECT_TRUE(State.isParam(handle(0)));
+  EXPECT_TRUE(State.getPayloadOps(handle(0)).empty());
+  State.setPayload(handle(0), std::vector<Operation *>{Bound});
+  EXPECT_FALSE(State.isParam(handle(0)));
+  EXPECT_EQ(State.getPayloadOps(handle(0)), std::vector<Operation *>{Bound});
+  EXPECT_EQ(State.getNumHandles(), 1u);
+}
+
+TEST_F(InvalidationTest, RebindingWithShorterListLeavesNoStaleOps) {
+  TransformState State(Payload.get());
+  State.setPayload(handle(0), {Func, Outer, Load});
+  State.setPayload(handle(0), {Bound});
+  EXPECT_EQ(State.getPayloadOps(handle(0)), std::vector<Operation *>{Bound});
+  std::vector<Operation *> Longer = {Bound, Outer};
+  State.setPayload(handle(0), Longer);
+  State.setPayload(handle(0), std::vector<Operation *>{Bound});
+  EXPECT_EQ(State.getPayloadOps(handle(0)), std::vector<Operation *>{Bound});
+  // Rebinding a handle to its own ops keeps them.
+  State.setPayload(handle(0), State.getPayloadOps(handle(0)));
+  EXPECT_EQ(State.getPayloadOps(handle(0)), std::vector<Operation *>{Bound});
+  // A stale Outer or Load left in the slot would invalidate the handle.
+  State.setPayload(handle(1), {Outer});
+  State.consume(handle(1));
+  EXPECT_FALSE(State.isInvalidated(handle(0)));
+}
+
 TEST_F(TransformTest, MatchOpBindsHandles) {
   OwningOpRef Payload = makeFig1Payload();
   OwningOpRef Script = makeScript(R"(
